@@ -1,10 +1,13 @@
 """Real-vector diagnostics at extended precision: compressibility, the
 least-common-denominator (LCD) scan, spread and spectral-norm probes.
 
-Fractional parts of D*x amplify rounding, so everything that feeds a
-grid-scan decision runs on mpmath reals at the vector's precision
-(default 128 mantissa bits). The spectral-norm probe, whose contract is
-only 1e-6 accuracy, runs in float64.
+Vectors are mpmath reals at a fixed precision (default 128 mantissa bits),
+and compressibility, spread and every LCD witness are decided on them. The
+LCD scan evaluates its whole grid in float64 first and decides a grid point
+there only when the residual clears the bound by a certified rounding
+margin; points inside the margin, and the certificate, are computed in
+mpmath. The spectral-norm probe, whose contract is only 1e-6 accuracy,
+runs in float64.
 """
 
 from __future__ import annotations
@@ -205,25 +208,73 @@ def _witness_certificate(x: RealVector, d: float, p: LcdParams) -> LcdCertificat
     return LcdCertificate(d=float(d), sparse_support=support, residual=float(residual))
 
 
+# Grid rows evaluated per numpy block: bounds the float64 working set at
+# about 2**16 entries however fine the grid, and lets an early witness stop
+# the scan before the rest of the grid is evaluated.
+_SCAN_BLOCK_ENTRIES = 1 << 16
+
+
+def _float_margin(d: np.ndarray, n: int) -> np.ndarray:
+    """Rounding margin for deciding a grid point in float64.
+
+    Bounds |float64 residual - mpmath residual| plus the difference of the
+    two bounds beta*min(D, sqrt(n)). With u = 2**-53 and each x_i rounded
+    to nearest, y_i = fl(D * fl(x_i)) is within D*|x_i|*(2u + u^2) of
+    D*x_i. The magnitude |{y}| = dist(y, Z) is 1-Lipschitz in y, and
+    y - round(y) is exact in float64; the top-s residual is 1-Lipschitz in
+    l2 in the magnitudes. With ||x||_2 <= 1 + 1e-9 (the unit check), the
+    residual moves by at most D * 2**-52 * (1 + 1e-8).
+
+    Squaring and summing n - s terms, then the square root, add a relative
+    error of at most (n + 2) * u / 2 to a residual that is at most
+    sqrt(n)/2: at most n**1.5 * u. The float bound is off by at most
+    sqrt(n) * 2u. The mpmath side, at >= 64 bits, is off by under
+    (D + sqrt(n)) * 2**-61.
+
+    The margin is 4x the total: a term D * 2**-50 relative to D, and an
+    absolute term n**1.5 * 2**-50.
+    """
+    return (d + n * math.sqrt(n)) * 2.0**-50
+
+
 def lcd_scan(x: RealVector, p: LcdParams, d_max: float, grid_step: float) -> LcdScanResult:
     """Scan D over {step, 2*step, ..., d_max} for the first LCD witness.
 
     The returned lcd_upper is a grid-resolved upper bound on the true
     infimum; math.inf means the LCD exceeds d_max at this resolution.
+
+    Grid points are evaluated in float64 a block at a time. A point is
+    decided in float only when its residual clears beta*min(D, sqrt(n)) by
+    _float_margin; every point inside the margin is confirmed by the
+    mpmath lcd_witness, and the certificate is computed in mpmath.
     """
     if not 0 < grid_step <= d_max:
         raise DomainError("need 0 < grid_step <= d_max")
     _unit_check(x)
     steps = int(d_max / grid_step + 1e-9)
-    for j in range(1, steps + 1):
-        d = j * grid_step
-        if lcd_witness(x, d, p):
-            return LcdScanResult(
-                lcd_upper=d,
-                grid_step=grid_step,
-                d_max=d_max,
-                certificate=_witness_certificate(x, d, p),
-            )
+    n = len(x)
+    s = p.sparsity_count(n)
+    xf = np.array(x.to_floats())
+    block = max(1, _SCAN_BLOCK_ENTRIES // n)
+    for j0 in range(1, steps + 1, block):
+        # j * grid_step in float64 is the same D as the scalar loop's
+        d = np.arange(j0, min(j0 + block, steps + 1)).astype(np.float64) * grid_step
+        y = d[:, None] * xf
+        mags = np.abs(y - np.round(y))
+        if s:
+            mags = np.partition(mags, n - s - 1, axis=1)[:, : n - s]
+        resid = np.sqrt(np.square(mags).sum(axis=1))
+        gap = resid - p.beta * np.minimum(d, math.sqrt(n))
+        margin = _float_margin(d, n)
+        for i in np.flatnonzero(gap <= margin):
+            dj = float(d[i])
+            if gap[i] < -margin[i] or lcd_witness(x, dj, p):
+                return LcdScanResult(
+                    lcd_upper=dj,
+                    grid_step=grid_step,
+                    d_max=d_max,
+                    certificate=_witness_certificate(x, dj, p),
+                )
     return LcdScanResult(lcd_upper=math.inf, grid_step=grid_step, d_max=d_max, certificate=None)
 
 
@@ -249,40 +300,13 @@ def spread_check(x: RealVector, alpha: float, gamma: float) -> bool:
 
 
 def spectral_norm(r: IntMatrix, scale_m: int) -> float:
-    """Largest singular value of r/scale_m by power iteration.
-
-    Iterates on the smaller Gram matrix until the Rayleigh quotient moves
-    by less than 1e-10 relatively (or 1e4 iterations). The returned value
-    is sqrt of a Rayleigh quotient, hence a guaranteed lower bound on the
-    true norm; on non-degenerate spectra it is accurate to ~1e-6.
-    """
+    """Largest singular value of r/scale_m (LAPACK SVD, float64)."""
     if scale_m < 1:
         raise DomainError("scale_m must be >= 1")
     a = r.to_numpy().astype(np.float64) / scale_m
     if not a.any():
         return 0.0
-    gram = a.T @ a if a.shape[1] <= a.shape[0] else a @ a.T
-    k = gram.shape[0]
-    # two deterministic starts: the flat vector converges instantly on the
-    # structured fixtures, and a fixed-seed Gaussian direction cannot be
-    # exactly orthogonal to the top eigenvector of an integer Gram matrix
-    starts = [np.ones(k), generator(Seed(0x5BEC)).standard_normal(k)]
-    best = 0.0
-    for v in starts:
-        v = v / np.linalg.norm(v)
-        prev_q = 0.0
-        for _ in range(10**4):
-            w = gram @ v
-            nw = np.linalg.norm(w)
-            if nw == 0.0:
-                break
-            v = w / nw
-            q = float(v @ gram @ v)
-            best = max(best, q)
-            if prev_q > 0 and abs(q - prev_q) <= 1e-10 * q:
-                break
-            prev_q = q
-    return math.sqrt(best)
+    return float(np.linalg.norm(a, 2))
 
 
 def random_unit_vector(n: int, seed: Seed, precision: int = DEFAULT_PRECISION) -> RealVector:

@@ -119,13 +119,18 @@ def default_generation_m(k: int, n: int, c: float = 0.1) -> int:
     """
     if k > n or k < 1:
         raise DimensionError("need 1 <= k <= n")
-    # (e*n/(k*m^c))^k <= 1/2  <=>  m >= ((e*n/k) * 2^(1/k))^(1/c)
-    m = max(1, math.ceil(((math.e * n / k) * 2 ** (1.0 / k)) ** (1.0 / c)))
-    while m > 1 and union_bound_failure(k, n, m - 1, c) <= 0.5:
-        m -= 1
-    while union_bound_failure(k, n, m, c) > 0.5:
-        m += 1
-    return m
+    # union_bound_failure is non-increasing in m: double to an upper end,
+    # then bisect for the first m at or below 1/2
+    lo, hi = 0, 1
+    while union_bound_failure(k, n, hi, c) > 0.5:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if union_bound_failure(k, n, mid, c) <= 0.5:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def pigeonhole_min_alphabet(k: int, n: int) -> int:

@@ -17,6 +17,7 @@ from .errors import DomainError
 from .linalg import IntMatrix
 
 _U64 = 1 << 64
+_INT64_LIMIT = 1 << 63
 
 
 @dataclass(frozen=True)
@@ -91,8 +92,9 @@ class EntryDistribution:
 
     def __post_init__(self):
         if self.kind == "uniform_symmetric":
-            if self.m is None or self.m < 0:
-                raise DomainError("uniform_symmetric needs m >= 0")
+            # draws are int64, so m itself must fit
+            if self.m is None or not 0 <= self.m < _INT64_LIMIT:
+                raise DomainError("uniform_symmetric needs 0 <= m < 2**63")
         elif self.kind == "custom":
             if not self.support or not self.pmf:
                 raise DomainError("custom distribution needs support and pmf")
@@ -100,6 +102,8 @@ class EntryDistribution:
                 raise DomainError("support and pmf length mismatch")
             if any(b <= a for a, b in zip(self.support, self.support[1:])):
                 raise DomainError("support must be strictly increasing")
+            if not -_INT64_LIMIT <= self.support[0] <= self.support[-1] < _INT64_LIMIT:
+                raise DomainError("support values must fit in int64")
             if any(p < 0 for p in self.pmf):
                 raise DomainError("pmf entries must be nonnegative")
             if sum(self.pmf, Fraction(0)) != 1:
@@ -126,19 +130,10 @@ class EntryDistribution:
             return Fraction(1, 2 * self.m + 1)
         return max(self.pmf)
 
-    def support_values(self) -> tuple[int, ...]:
-        if self.kind == "uniform_symmetric":
-            return tuple(range(-self.m, self.m + 1))
-        return self.support
-
-    def probabilities(self) -> tuple[Fraction, ...]:
-        if self.kind == "uniform_symmetric":
-            w = 2 * self.m + 1
-            return tuple(Fraction(1, w) for _ in range(w))
-        return self.pmf
-
     def max_abs_value(self) -> int:
-        return max(abs(v) for v in self.support_values())
+        if self.kind == "uniform_symmetric":
+            return self.m
+        return max(abs(v) for v in self.support)
 
     def _thresholds(self) -> np.ndarray:
         # cumulative pmf scaled to a 2**64 grid; per-draw bias <= 2**-64

@@ -100,3 +100,24 @@ def top_singular_value_2x2(rows, scale):
     det = (a * d - b * c) ** 2
     disc = math.sqrt(max(tr * tr - 4 * det, 0.0))
     return math.sqrt((tr + disc) / 2)
+
+
+def lcd_scan_oracle(x, p, d_max, grid_step):
+    """The LCD scan one grid point at a time, every point in mpmath.
+
+    This is the library's former lcd_scan; the float-first scan must agree
+    with it on lcd_upper and on every certificate field.
+    """
+    from intmat.geometry import LcdScanResult, _witness_certificate, lcd_witness
+
+    steps = int(d_max / grid_step + 1e-9)
+    for j in range(1, steps + 1):
+        d = j * grid_step
+        if lcd_witness(x, d, p):
+            return LcdScanResult(
+                lcd_upper=d,
+                grid_step=grid_step,
+                d_max=d_max,
+                certificate=_witness_certificate(x, d, p),
+            )
+    return LcdScanResult(lcd_upper=math.inf, grid_step=grid_step, d_max=d_max, certificate=None)

@@ -1,6 +1,11 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import intmat
 from intmat.cli import main
 from intmat.formats import read_matrix, write_matrix
 from intmat.linalg import IntMatrix
@@ -74,6 +79,21 @@ def test_estimate_requires_distribution(capsys):
     assert code == 1
 
 
+def test_estimate_largest_int64_alphabet(capsys):
+    argv = ["estimate", "--n", "2", "--m", str(2**62), "--trials", "10", "--seed", "1", "--json"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert json.loads(out)["m"] == 2**62
+
+
+def test_estimate_alphabet_beyond_int64_exit_1(capsys):
+    argv = ["estimate", "--n", "2", "--m", str(2**63), "--trials", "10", "--seed", "1", "--json"]
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("intmat:") and "Traceback" not in err
+
+
 def test_estimate_custom_distribution(tmp_path, capsys):
     spec = tmp_path / "dist.json"
     spec.write_text(json.dumps({"support": [-1, 0, 1], "pmf": ["1/4", "1/2", "1/4"]}))
@@ -138,6 +158,20 @@ def test_mds_generate_failure_exit_2(capsys):
             "--max-attempts", "5", "--seed", "1"]
     code, _, err = run(capsys, argv)
     assert code == 2
+
+
+def test_mds_generate_default_m_beyond_int64_exit_1():
+    # the derived default m is about 7e25; a subprocess with a timeout turns
+    # a hang in deriving it into a failure instead of a stalled suite
+    env = dict(os.environ, PYTHONPATH=str(Path(intmat.__file__).parents[1]))
+    argv = ["mds", "generate", "--k", "2", "--n", "200", "--seed", "1", "--json"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "intmat.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("intmat:") and "Traceback" not in proc.stderr
 
 
 def test_lcd_and_compress_commands(tmp_path, capsys):

@@ -3,6 +3,7 @@ import mpmath
 import numpy as np
 import pytest
 
+import intmat.geometry as geometry
 from intmat.errors import DomainError
 from intmat.geometry import (
     LcdParams,
@@ -21,7 +22,7 @@ from intmat.geometry import (
 from intmat.linalg import IntMatrix, RationalVector, kernel_basis
 from intmat.sampling import EntryDistribution, Seed, generator
 
-from oracles import brute_sparse_residual, top_singular_value_2x2
+from oracles import brute_sparse_residual, lcd_scan_oracle, top_singular_value_2x2
 
 
 def unit(values, precision=128):
@@ -250,6 +251,70 @@ def test_lcd_floor_for_incompressible_vectors():
         done += 1
         res = lcd_scan(x, scan, d_max=dmax, grid_step=1e-2)
         assert not res.found
+
+
+def _lcd_equivalence_cases():
+    """(vector, params, d_max, step): ties on the bound first, then random."""
+    root3 = math.sqrt(3) / 2
+    cases = [
+        # residual exactly on the bound at the first grid point: D/2 = beta*D
+        (RealVector.from_values([root3, 0.5]), LcdParams(0.5, 0.5), 1.0, 0.125),
+        # {4x} = (1/2, ..., 1/2) leaves residual 1/2 = beta after 3 removals
+        (unit([1.0] * 4), LcdParams(0.8, 0.5), 2.0, 0.5),
+        # e1 with s = 0: |{0.8}| = 0.2 = beta * 0.8 up to the rounding of 0.8
+        (RealVector.from_values([1.0] + [0.0] * 9), LcdParams(0.05, 0.25), 2.0, 0.2),
+        (RealVector.from_values([1.0] + [0.0] * 7), LcdParams(0.2, 0.1), 2.0, 0.25),
+        # all-ones at D = sqrt(n): D*x is integral
+        (unit([1.0] * 16), LcdParams(0.2, 0.1), 8.0, 0.5),
+        (unit([1.0] * 7), LcdParams(0.05, 0.05), 2 * math.sqrt(7), math.sqrt(7) / 4),
+        (normalize(RationalVector.from_values([2, 3, 6])), LcdParams(0.2, 0.05), 7.0, 0.5),
+    ]
+    rng = np.random.default_rng(39)
+    for i in range(120):
+        n = int(rng.integers(2, 21))
+        kind = i % 4
+        if kind == 0:
+            x = random_unit_vector(n, Seed(int(rng.integers(1 << 30))))
+        elif kind == 1:
+            z = [int(v) for v in rng.integers(-2, 3, n)]
+            z[0] = z[0] or 1
+            x = normalize(RationalVector.from_values(z))
+        elif kind == 2:
+            v = 1e-3 * rng.standard_normal(n)
+            v[: max(1, n // 5)] += 1.0
+            x = unit(v.tolist())
+        else:
+            x = unit([1.0] * n)
+        p = LcdParams(float(rng.choice([0.05, 0.2, 0.3, 0.5])), float(rng.choice([0.05, 0.1, 0.25, 0.5])))
+        step = float(rng.choice([0.01, 0.05, 0.25, 1 / 3]))
+        d_max = max(step, float(rng.choice([1.0, 2.5, math.sqrt(n), 7.0])))
+        cases.append((x, p, d_max, step))
+    return cases
+
+
+def test_lcd_scan_matches_mpmath_oracle(monkeypatch):
+    # the float-first scan must reproduce the per-point mpmath scan exactly,
+    # certificate included, and send the ties to mpmath for confirmation
+    confirmations = 0
+    witness = geometry.lcd_witness
+
+    def counted(*args):
+        nonlocal confirmations
+        confirmations += 1
+        return witness(*args)
+
+    cases = _lcd_equivalence_cases()
+    found = 0
+    for x, p, d_max, step in cases:
+        monkeypatch.setattr(geometry, "lcd_witness", counted)
+        got = lcd_scan(x, p, d_max=d_max, grid_step=step)
+        monkeypatch.setattr(geometry, "lcd_witness", witness)
+        want = lcd_scan_oracle(x, p, d_max=d_max, grid_step=step)
+        assert got == want, (x.to_floats(), p, d_max, step)
+        found += got.found
+    assert len(cases) >= 100
+    assert 0 < found < len(cases)
+    assert confirmations >= 3
 
 
 def test_lcd_scan_validation():

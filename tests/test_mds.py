@@ -169,3 +169,15 @@ def test_default_generation_m_policy():
     m = default_generation_m(4, 8)
     assert union_bound_failure(4, 8, m, 0.1) <= 0.5
     assert m == 1 or union_bound_failure(4, 8, m - 1, 0.1) > 0.5
+
+
+def test_default_generation_m_pinned_values():
+    # seeded `mds generate` outputs without --m depend on this value
+    assert default_generation_m(4, 8) == 127590919
+    assert default_generation_m(1, 1) == 22555101
+
+
+def test_default_generation_m_huge_alphabet_returns():
+    m = default_generation_m(2, 200)
+    assert union_bound_failure(2, 200, m, 0.1) <= 0.5 < union_bound_failure(2, 200, m - 1, 0.1)
+    assert m > 2**63

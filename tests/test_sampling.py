@@ -43,6 +43,20 @@ def test_m_zero_gives_all_zeros():
     assert all(e == 0 for e in m.entries)
 
 
+def test_alphabets_bounded_by_int64():
+    dist = EntryDistribution.uniform_symmetric(2**62)
+    assert dist.max_abs_value() == 2**62
+    draws = dist.sample_array(generator(Seed(2)), 1000)
+    assert draws.min() >= -(2**62) and draws.max() <= 2**62
+    assert (draws < 0).any() and (draws > 0).any()
+    with pytest.raises(DomainError):
+        EntryDistribution.uniform_symmetric(2**63)
+    with pytest.raises(DomainError):
+        EntryDistribution.custom([0, 2**63], [Fraction(1, 2), Fraction(1, 2)])
+    wide = EntryDistribution.custom([-(2**63), 2**63 - 1], [Fraction(1, 2), Fraction(1, 2)])
+    assert set(wide.sample_array(generator(Seed(3)), 100).tolist()) == {-(2**63), 2**63 - 1}
+
+
 def test_uniform_frequencies_m2():
     # 10^5 draws from 5 values: counts within 4 sigma of 20000 and the
     # chi-square statistic below 18.467 (0.999 quantile, 4 df)

@@ -1,9 +1,11 @@
+import hashlib
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from intmat.cli import main
 from intmat.errors import DomainError
 from intmat.sampling import (
     EntryDistribution,
@@ -156,3 +158,62 @@ def test_seed_validation():
         Seed(-1)
     with pytest.raises(DomainError):
         Seed(1 << 64)
+
+
+# Golden stream: SHA-256 prefixes of seeded outputs. Any change to the random
+# stream (the sampler, the batch size, or numpy's Generator, which NEP 19 does
+# not promise to keep stable across versions) changes one of these. A stream
+# change bumps sampling.STREAM_VERSION and replaces the hashes together.
+GOLDEN_DRAWS = {
+    "uniform_m2": "d5ca608d9667773f",
+    "uniform_m2_62": "e00356a267fd3181",
+    "custom_pmf": "416f54a4753cb3eb",
+}
+GOLDEN_ESTIMATE = "20cf72e61d7070aa"
+GOLDEN_CLI = {
+    "smallball": "b1722ab40a22fd11",
+    "mds_generate": "7f5a4af78cc75d06",
+}
+GOLDEN_ESTIMATE_ARGV = ["estimate", "--n", "3", "--m", "2", "--trials", "70000", "--seed", "7", "--json"]
+GOLDEN_CLI_ARGV = {
+    "smallball": ["smallball", "--n", "12", "--m", "3", "--eps", "0.2", "--trials", "20000",
+                  "--seed", "9", "--json"],
+    "mds_generate": ["mds", "generate", "--k", "3", "--n", "6", "--m", "16", "--seed", "11",
+                     "--json"],
+}
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def _golden_dists():
+    return {
+        "uniform_m2": (EntryDistribution.uniform_symmetric(2), Seed(101)),
+        "uniform_m2_62": (EntryDistribution.uniform_symmetric(2**62), Seed(102)),
+        "custom_pmf": (
+            EntryDistribution.custom([-3, 0, 1, 5], [Fraction(1, 7), Fraction(3, 7),
+                                                     Fraction(2, 7), Fraction(1, 7)]),
+            Seed(103, 2),
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_DRAWS))
+def test_golden_sample_array(name):
+    dist, seed = _golden_dists()[name]
+    draws = dist.sample_array(generator(seed), 4096)
+    assert _digest(draws.astype("<i8").tobytes()) == GOLDEN_DRAWS[name]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_golden_estimate_stdout(capsys, threads):
+    # 70000 trials span three shards
+    assert main(GOLDEN_ESTIMATE_ARGV + ["--threads", threads]) == 0
+    assert _digest(capsys.readouterr().out.encode()) == GOLDEN_ESTIMATE
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CLI))
+def test_golden_cli_stdout(capsys, name):
+    assert main(GOLDEN_CLI_ARGV[name]) == 0
+    assert _digest(capsys.readouterr().out.encode()) == GOLDEN_CLI[name]

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import DomainError
 from .geometry import LcdParams, RealVector
-from .sampling import EntryDistribution, Seed, generator
+from .sampling import EntryDistribution, Seed, generator, sample_batches
 from .singularity import EstimateReport
 
 # Near-integer arguments switch to the continuity value F = 1.
@@ -212,6 +212,8 @@ def small_ball_probe(
     """
     if trials < 1:
         raise DomainError("trials must be >= 1")
+    if m < 1:
+        raise DomainError("m must be >= 1")
     if epsilon <= 0:
         raise DomainError("epsilon must be positive")
     xs = _direction_floats(x)
@@ -220,14 +222,9 @@ def small_ball_probe(
     gen = generator(seed)
     start = time.perf_counter()
     hits = 0
-    chunk = 1 << 14
-    done = 0
-    while done < trials:
-        take = min(chunk, trials - done)
-        sample = dist.sample_array(gen, take * n).reshape(take, n)
+    for sample in sample_batches(dist, gen, trials, n):
         y = (sample @ xs) / m
         hits += int(np.count_nonzero(np.abs(y) <= epsilon))
-        done += take
     elapsed = time.perf_counter() - start
     mc = EstimateReport.from_counts(trials, hits, seed, n, m, elapsed)
     bound = lcd_regime_bound(epsilon, m, n, lcd_params) if lcd_params is not None else None

@@ -56,12 +56,10 @@ class RunConfig:
 
     command: str
     seed: Seed | None
-    threads: int
     output_format: str
     output_path: str | None
 
     def echo(self) -> dict:
-        # thread count is scheduling-only and must not perturb output bytes
         out = {"command": self.command, "output_format": self.output_format}
         if self.seed is not None:
             out["seed"] = {"value": self.seed.value, "stream": self.seed.stream}
@@ -138,7 +136,7 @@ def _cmd_estimate(args, out) -> int:
     threads = _resolve_threads(args)
     report = mc_singularity(args.n, dist, args.trials, seed, threads=threads)
     fmt = args.format
-    config = RunConfig("estimate", seed, threads, fmt, None)
+    config = RunConfig("estimate", seed, fmt, None)
     if fmt == "csv":
         out.write("n,m,trials,hits,estimate,ci_low,ci_high,seed\n")
         m_field = "" if report.m is None else str(report.m)
@@ -229,7 +227,7 @@ def _cmd_mds_generate(args, out) -> int:
         write_matrix(report.matrix, args.output)
     payload = {
         "version": __version__,
-        "config": RunConfig("mds-generate", seed, 1, args.format, args.output).echo(),
+        "config": RunConfig("mds-generate", seed, args.format, args.output).echo(),
         "k": args.k,
         "n": args.n,
         "m_used": report.m_used,
@@ -293,6 +291,8 @@ def _cmd_charfunc(args, out) -> int:
     if args.m < 1:
         raise DomainError("m must be >= 1")
     grid = args.grid
+    if grid < 0:
+        raise DomainError("grid must be >= 0")
     ys = np.linspace(0.0, 0.5, grid + 1)
     fvals = f_grid(ys, args.m)
     if args.format == "csv":
@@ -312,6 +312,8 @@ def _cmd_charfunc(args, out) -> int:
 
 
 def _cmd_smallball(args, out) -> int:
+    if args.m < 1:
+        raise DomainError("m must be >= 1")
     seed = _seed_from(args)
     # direction comes from a dedicated stream so it is independent of trials
     direction = random_unit_vector(args.n, Seed(seed.value, (seed.stream + 1) % (1 << 64)))
@@ -322,7 +324,7 @@ def _cmd_smallball(args, out) -> int:
     mc = report.mc_probability
     payload = {
         "version": __version__,
-        "config": RunConfig("smallball", seed, 1, args.format, None).echo(),
+        "config": RunConfig("smallball", seed, args.format, None).echo(),
         "n": args.n,
         "m": args.m,
         "epsilon": report.epsilon,

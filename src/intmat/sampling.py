@@ -4,6 +4,17 @@ The generator is counter-based (Philox4x64): the key carries the 64-bit
 seed value and 64-bit stream index, and parallel Monte Carlo shards offset
 the 256-bit counter, so every draw is determined by (seed, stream, shard)
 independently of thread scheduling.
+
+Stream version 2 (STREAM_VERSION): uniform {-m, ..., m} entries are numpy's
+bounded integers (Lemire's multiply-shift rejection, exactly uniform) on
+the keyed Philox stream; custom pmfs map raw 64-bit words through an exact
+cumulative table. Callers that draw many matrices or rows draw them in
+sub-batches of at most _DRAW_BATCH entries (sample_batches). The draws do
+not depend on that size: Philox keeps the spare 32-bit half of a word in
+its own state between calls, so consecutive draws concatenate to one long
+draw, and the tests check that. tests/test_sampling.py pins the stream with
+golden hashes; numpy does not promise stable Generator streams across
+versions (NEP 19), so a numpy upgrade can fail that test.
 """
 
 from __future__ import annotations
@@ -16,6 +27,8 @@ import numpy as np
 from .errors import DomainError
 from .linalg import IntMatrix
 
+STREAM_VERSION = 2
+_DRAW_BATCH = 1 << 20  # entries per sub-batch: bounds memory, not part of the draws
 _U64 = 1 << 64
 _INT64_LIMIT = 1 << 63
 
@@ -50,31 +63,6 @@ def generator(seed: Seed, shard: int = 0) -> np.random.Generator:
 
 def raw_u64(gen: np.random.Generator, count: int) -> np.ndarray:
     return gen.integers(0, _U64, size=count, dtype=np.uint64)
-
-
-def uniform_ints(gen: np.random.Generator, width: int, count: int) -> np.ndarray:
-    """`count` uniform draws from {0, ..., width-1}, exactly uniform.
-
-    Rejection from the smallest enclosing power-of-two range: no modulo
-    bias. width = 1 degenerates to all zeros.
-    """
-    if width < 1:
-        raise DomainError("width must be positive")
-    if width == 1:
-        return np.zeros(count, dtype=np.int64)
-    mask = (1 << (width - 1).bit_length()) - 1
-    out = np.empty(count, dtype=np.int64)
-    filled = 0
-    while filled < count:
-        need = count - filled
-        # oversample by the expected rejection rate plus slack
-        batch = need * (mask + 1) // width + 16
-        draw = raw_u64(gen, batch) & mask
-        draw = draw[draw < width]
-        take = min(draw.size, need)
-        out[filled : filled + take] = draw[:take].astype(np.int64)
-        filled += take
-    return out
 
 
 @dataclass(frozen=True)
@@ -147,10 +135,22 @@ class EntryDistribution:
     def sample_array(self, gen: np.random.Generator, count: int) -> np.ndarray:
         """Vectorized i.i.d. draws as an int64 array."""
         if self.kind == "uniform_symmetric":
-            return uniform_ints(gen, 2 * self.m + 1, count) - self.m
+            return gen.integers(-self.m, self.m, size=count, dtype=np.int64, endpoint=True)
         r = raw_u64(gen, count)
         idx = np.searchsorted(self._thresholds(), r, side="right")
         return np.asarray(self.support, dtype=np.int64)[idx]
+
+
+def sample_batches(dist: EntryDistribution, gen: np.random.Generator, items: int, size: int):
+    """Yield (take, size) int64 draws of `items` items of `size` entries each.
+
+    Each sub-batch holds whole items and at most _DRAW_BATCH entries (an item
+    larger than that is drawn alone), consumed from gen in order.
+    """
+    per = max(1, _DRAW_BATCH // size)
+    for start in range(0, items, per):
+        take = min(per, items - start)
+        yield dist.sample_array(gen, take * size).reshape(take, size)
 
 
 def sample_matrix(n: int, k: int, dist: EntryDistribution, seed: Seed) -> IntMatrix:

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import BudgetExceededError, DomainError, FitError
 from .linalg import batch_det_fits_int64, det_batch, _det_rows
-from .sampling import EntryDistribution, Seed, generator
+from .sampling import EntryDistribution, Seed, generator, sample_batches
 
 SHARD_TRIALS = 1 << 15
 DEFAULT_ENUM_BUDGET = 10**8
@@ -86,14 +86,14 @@ def _shard_sizes(trials: int) -> list[int]:
 
 def _singular_count(n: int, dist: EntryDistribution, seed: Seed, shard: int, count: int) -> int:
     gen = generator(seed, shard=shard)
-    flat = dist.sample_array(gen, count * n * n)
-    mats = flat.reshape(count, n, n)
-    if batch_det_fits_int64(n, dist.max_abs_value()):
-        return int(np.count_nonzero(det_batch(mats) == 0))
+    fits = batch_det_fits_int64(n, dist.max_abs_value())
     hits = 0
-    for i in range(count):
-        if _det_rows([[int(v) for v in row] for row in mats[i]]) == 0:
-            hits += 1
+    for flat in sample_batches(dist, gen, count, n * n):
+        mats = flat.reshape(-1, n, n)
+        if fits:
+            hits += int(np.count_nonzero(det_batch(mats) == 0))
+        else:
+            hits += sum(_det_rows(mat.tolist()) == 0 for mat in mats)
     return hits
 
 

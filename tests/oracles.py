@@ -3,6 +3,7 @@
 These deliberately avoid the library's algorithms: determinants expand by
 cofactors, rank/kernel go through a plain Fraction RREF, MDS checks loop
 over every minor, and the sparse residual minimizes over every support.
+Former library code paths replaced by faster ones stay here as references.
 """
 
 from fractions import Fraction
@@ -121,3 +122,32 @@ def lcd_scan_oracle(x, p, d_max, grid_step):
                 certificate=_witness_certificate(x, d, p),
             )
     return LcdScanResult(lcd_upper=math.inf, grid_step=grid_step, d_max=d_max, certificate=None)
+
+
+def uniform_ints(gen, width, count):
+    """`count` uniform draws from {0, ..., width-1}: the stream-v1 sampler.
+
+    Rejection from the smallest enclosing power-of-two range of raw 64-bit
+    Philox words, so no modulo bias; width = 1 gives all zeros. The library
+    now uses numpy's bounded integers instead.
+    """
+    import numpy as np
+
+    from intmat.sampling import raw_u64
+
+    assert width >= 1
+    if width == 1:
+        return np.zeros(count, dtype=np.int64)
+    mask = (1 << (width - 1).bit_length()) - 1
+    out = np.empty(count, dtype=np.int64)
+    filled = 0
+    while filled < count:
+        need = count - filled
+        # oversample by the expected rejection rate plus slack
+        batch = need * (mask + 1) // width + 16
+        draw = raw_u64(gen, batch) & mask
+        draw = draw[draw < width]
+        take = min(draw.size, need)
+        out[filled : filled + take] = draw[:take].astype(np.int64)
+        filled += take
+    return out

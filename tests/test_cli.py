@@ -174,6 +174,32 @@ def test_mds_generate_default_m_beyond_int64_exit_1():
     assert proc.stderr.startswith("intmat:") and "Traceback" not in proc.stderr
 
 
+def _cli_subprocess(argv):
+    # a subprocess, so warnings reach stderr as a user would see them
+    env = dict(os.environ, PYTHONPATH=str(Path(intmat.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "intmat.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
+def test_smallball_m_zero_fails_before_sampling():
+    proc = _cli_subprocess(["smallball", "--n", "5", "--m", "0", "--eps", "0.1",
+                            "--trials", "1000", "--seed", "1"])
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "intmat: m must be >= 1\n"
+    assert "RuntimeWarning" not in proc.stderr and "invalid value" not in proc.stderr
+
+
+def test_charfunc_negative_grid_exit_1():
+    proc = _cli_subprocess(["charfunc", "--m", "2", "--grid", "-2"])
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "intmat: grid must be >= 0\n"
+    assert "Number of samples" not in proc.stderr
+
+
 def test_lcd_and_compress_commands(tmp_path, capsys):
     n = 16
     vec = tmp_path / "v.txt"

@@ -5,6 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from intmat import sampling
+from intmat.charfunc import small_ball_probe
 from intmat.cli import main
 from intmat.errors import DomainError
 from intmat.sampling import (
@@ -12,11 +14,14 @@ from intmat.sampling import (
     Seed,
     generator,
     raw_u64,
+    sample_batches,
     sample_matrix,
     sample_vector,
-    uniform_ints,
     vempala_sum_distribution,
 )
+from intmat.singularity import mc_singularity
+
+from oracles import uniform_ints
 
 
 def test_same_seed_same_matrix():
@@ -69,6 +74,57 @@ def test_uniform_frequencies_m2():
     assert all(abs(c - 20_000) <= 4 * sigma for c in counts)
     chi2 = float(((counts - 20_000.0) ** 2 / 20_000.0).sum())
     assert chi2 < 18.467
+
+
+def test_uniform_frequencies_m64():
+    # 129 values at 1000 expected draws each: chi-square below 183.186
+    # (0.999 quantile, 128 df)
+    dist = EntryDistribution.uniform_symmetric(64)
+    draws = dist.sample_array(generator(Seed(2025)), 129_000)
+    assert draws.min() >= -64 and draws.max() <= 64
+    counts = np.bincount(draws + 64, minlength=129)
+    chi2 = float(((counts - 1000.0) ** 2 / 1000.0).sum())
+    assert chi2 < 183.186
+
+
+def test_draws_come_in_bounded_sub_batches(monkeypatch):
+    requests, drawn = [], []
+    sample_array = EntryDistribution.sample_array
+
+    def recording(self, gen, count):
+        requests.append(count)
+        drawn.append(sample_array(self, gen, count))
+        return drawn[-1]
+
+    monkeypatch.setattr(EntryDistribution, "sample_array", recording)
+    # one shard of 300 zero 64x64 matrices: 1.2M entries, two sub-batches
+    report = mc_singularity(64, EntryDistribution.uniform_symmetric(0), 300, Seed(1))
+    assert report.hits == 300
+    assert requests == [256 * 4096, 44 * 4096]
+    requests.clear()
+    drawn.clear()
+    # rows of n = 2048 entries, 512 rows per sub-batch; x = e1 and eps = 1/2
+    # hit exactly when the first entry is 0
+    n, trials = 2048, 1500
+    rep = small_ball_probe([1.0] + [0.0] * (n - 1), 1, 0.5, trials, Seed(2))
+    assert max(requests) <= 1 << 20 and sum(requests) == trials * n
+    first = np.concatenate(drawn).reshape(trials, n)[:, 0]
+    assert rep.mc_probability.hits == int(np.count_nonzero(first == 0))
+
+
+def test_sub_batch_size_does_not_change_the_draws(monkeypatch):
+    # Philox keeps the spare 32-bit half of a word between calls, so odd-sized
+    # sub-batches concatenate to the one-call draw
+    dist = EntryDistribution.uniform_symmetric(3)
+    report = mc_singularity(3, dist, 5000, Seed(4))
+    monkeypatch.setattr(sampling, "_DRAW_BATCH", 50)
+    assert mc_singularity(3, dist, 5000, Seed(4)).hits == report.hits
+    monkeypatch.setattr(sampling, "_DRAW_BATCH", 7)
+    for dist, seed, _ in GOLDEN_DRAWS.values():
+        whole = dist.sample_array(generator(seed), 4095)
+        batches = list(sample_batches(dist, generator(seed), 4095, 1))
+        assert len(batches) == 585
+        assert np.array_equal(np.concatenate(batches).ravel(), whole)
 
 
 def test_empirical_mean_within_4_sigma():
@@ -161,18 +217,23 @@ def test_seed_validation():
 
 
 # Golden stream: SHA-256 prefixes of seeded outputs. Any change to the random
-# stream (the sampler, the batch size, or numpy's Generator, which NEP 19 does
-# not promise to keep stable across versions) changes one of these. A stream
+# stream (the sampler, the keys, or numpy's Generator, which NEP 19 does not
+# promise to keep stable across versions) changes one of these. A stream
 # change bumps sampling.STREAM_VERSION and replaces the hashes together.
-GOLDEN_DRAWS = {
-    "uniform_m2": "d5ca608d9667773f",
-    "uniform_m2_62": "e00356a267fd3181",
-    "custom_pmf": "416f54a4753cb3eb",
+GOLDEN_DRAWS = {  # first 4096 draws: (distribution, seed, hash)
+    "uniform_m2": (EntryDistribution.uniform_symmetric(2), Seed(101), "930e8f17447b7cbd"),
+    "uniform_m2_62": (EntryDistribution.uniform_symmetric(2**62), Seed(102), "d6fc9f5b2753682c"),
+    "custom_pmf": (
+        EntryDistribution.custom([-3, 0, 1, 5], [Fraction(1, 7), Fraction(3, 7),
+                                                 Fraction(2, 7), Fraction(1, 7)]),
+        Seed(103, 2),
+        "416f54a4753cb3eb",
+    ),
 }
-GOLDEN_ESTIMATE = "20cf72e61d7070aa"
+GOLDEN_ESTIMATE = "743b67808c0be3a6"
 GOLDEN_CLI = {
-    "smallball": "b1722ab40a22fd11",
-    "mds_generate": "7f5a4af78cc75d06",
+    "smallball": "ec76f3bcd8e7b104",
+    "mds_generate": "e3de17a99c4c0adf",
 }
 GOLDEN_ESTIMATE_ARGV = ["estimate", "--n", "3", "--m", "2", "--trials", "70000", "--seed", "7", "--json"]
 GOLDEN_CLI_ARGV = {
@@ -187,26 +248,18 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
 
-def _golden_dists():
-    return {
-        "uniform_m2": (EntryDistribution.uniform_symmetric(2), Seed(101)),
-        "uniform_m2_62": (EntryDistribution.uniform_symmetric(2**62), Seed(102)),
-        "custom_pmf": (
-            EntryDistribution.custom([-3, 0, 1, 5], [Fraction(1, 7), Fraction(3, 7),
-                                                     Fraction(2, 7), Fraction(1, 7)]),
-            Seed(103, 2),
-        ),
-    }
+def test_golden_hashes_pin_stream_version_2():
+    assert sampling.STREAM_VERSION == 2
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_DRAWS))
 def test_golden_sample_array(name):
-    dist, seed = _golden_dists()[name]
+    dist, seed, digest = GOLDEN_DRAWS[name]
     draws = dist.sample_array(generator(seed), 4096)
-    assert _digest(draws.astype("<i8").tobytes()) == GOLDEN_DRAWS[name]
+    assert _digest(draws.astype("<i8").tobytes()) == digest
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("threads", ["1", "2", "8"])
 def test_golden_estimate_stdout(capsys, threads):
     # 70000 trials span three shards
     assert main(GOLDEN_ESTIMATE_ARGV + ["--threads", threads]) == 0

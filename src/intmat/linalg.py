@@ -6,15 +6,18 @@ rational blow-up during the forward pass. Rank and kernel bases come from
 the same fraction-free echelon form, with a cheap rational back
 substitution only at the end.
 
-A vectorized int64 determinant (`det_batch`) covers the Monte Carlo hot
-path; it falls back to the scalar big-integer routine whenever the
-Hadamard bound says int64 could overflow.
+`det_batch` gives exact int64 determinants of a whole batch at once for the
+Monte Carlo and enumeration hot paths: a division-free expansion over
+column subsets for n <= 8, batch Bareiss above. Callers use it only when
+`batch_det_fits_int64` holds, and fall back to the scalar big-integer
+routine otherwise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, lcm
 
 import numpy as np
@@ -24,6 +27,16 @@ from .errors import DimensionError
 # Fixed primes for the nonsingularity pre-filter. det != 0 (mod p) proves
 # det != 0; the converse direction is always confirmed exactly.
 _FILTER_PRIMES = ((1 << 61) - 1, 10**18 + 9)
+
+# Largest n that det_batch expands over column subsets. The expansion costs
+# n * 2**(n-1) vector multiply-adds; batch Bareiss costs ~n**3/3 lane
+# updates, but each of its n-1 steps also pays for a pivot search, row
+# swaps, dead-lane bookkeeping and an int64 floor division. On a 2-vCPU
+# Xeon the expansion takes 1.8 us per matrix at n = 8 against 4.2 us, and
+# 9.6 us at n = 10 against 8.4 us. Its working set is also exponential:
+# level k holds C(n, k) vectors, and at n = 8 the two widest levels hold
+# 126 B-vectors, about twice the (64, B) input; at n = 10, 462 (4.6x).
+_EXPANSION_MAX_N = 8
 
 
 @dataclass(frozen=True)
@@ -275,11 +288,12 @@ def matvec(m: IntMatrix, v: RationalVector) -> RationalVector:
 
 
 def batch_det_fits_int64(n: int, max_abs: int) -> bool:
-    """Whether batched int64 Bareiss is overflow-safe for n x n matrices.
+    """Whether `det_batch` is overflow-safe for n x n matrices.
 
-    Bareiss intermediates are minors of the input; the two-term update
-    multiplies two (n-1)-minors, each Hadamard-bounded by
-    (max_abs * sqrt(n-1))**(n-1).
+    Holds when 2 * (max_abs**2 * (n-1))**(n-1) < 2**63: twice the product
+    of two Hadamard-bounded (n-1)-minors, which is what a batch Bareiss
+    update forms. The minor expansion's intermediates are smaller; see
+    `det_batch`.
     """
     if n <= 1:
         return True
@@ -291,17 +305,45 @@ def det_batch(mats: np.ndarray) -> np.ndarray:
     """Exact determinants of a batch of small integer matrices.
 
     mats is (B, n, n) integer-valued; the caller must ensure
-    `batch_det_fits_int64(n, max|entry|)`. Row swaps and all-zero pivot
-    columns (singular) are handled per matrix, vectorized over the batch.
+    `batch_det_fits_int64(n, max|entry|)`.
+
+    For n <= 8 this is a division-free expansion over column subsets: with
+    M[S] the minor of the first k rows on the k columns S (one B-vector),
+    the (k+1)-minors follow by Laplace expansion along row k,
+
+        M[S] = sum_t (-1)**(k+t) * a[k, S_t] * M[S without S_t],
+
+    n * 2**(n-1) vector multiply-adds in all, with no pivoting, no row
+    swaps and no division. Every intermediate is a minor of the input or a
+    partial Laplace sum, bounded by (k+1) * m * (m * sqrt(k))**k for entries
+    |a| <= m. Under `batch_det_fits_int64` that is below 2**48 for
+    3 <= n <= 8 and below 2**63 for n = 2, so int64 never wraps.
+
+    Larger n runs batch Bareiss, whose cost grows as n**3 rather than 2**n.
+    Row swaps and all-zero pivot columns (singular) are handled per
+    matrix, vectorized over the batch.
     """
     b, n, n2 = mats.shape
     if n != n2:
         raise DimensionError("batch of square matrices required")
+    if n <= _EXPANSION_MAX_N:
+        a = np.array(mats.transpose(1, 2, 0), dtype=np.int64, order="C")
+        minors = {(j,): a[0, j] for j in range(n)}
+        for k in range(1, n):
+            row = -a[k] if k % 2 else a[k]  # folds (-1)**k into the row
+            level = {}
+            for cols in combinations(range(n), k + 1):
+                acc = row[cols[0]] * minors[cols[1:]]
+                for t in range(1, k + 1):
+                    term = row[cols[t]] * minors[cols[:t] + cols[t + 1 :]]
+                    if t % 2:
+                        acc -= term
+                    else:
+                        acc += term
+                level[cols] = acc
+            minors = level
+        return minors[tuple(range(n))]
     a = mats.astype(np.int64, copy=True)
-    if n == 1:
-        return a[:, 0, 0].copy()
-    if n == 2:
-        return a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0]
     sign = np.ones(b, dtype=np.int64)
     dead = np.zeros(b, dtype=bool)
     prev = np.ones(b, dtype=np.int64)

@@ -84,17 +84,24 @@ def _shard_sizes(trials: int) -> list[int]:
     return sizes
 
 
+def _count_singular(mats: np.ndarray, fits: bool) -> int:
+    """Number of singular matrices in a (B, n, n) batch.
+
+    int64 `det_batch` when `fits` (batch_det_fits_int64 holds for n and the
+    alphabet), else one big-integer `_det_rows` per matrix.
+    """
+    if fits:
+        return int(np.count_nonzero(det_batch(mats) == 0))
+    return sum(_det_rows(mat.tolist()) == 0 for mat in mats)
+
+
 def _singular_count(n: int, dist: EntryDistribution, seed: Seed, shard: int, count: int) -> int:
     gen = generator(seed, shard=shard)
     fits = batch_det_fits_int64(n, dist.max_abs_value())
-    hits = 0
-    for flat in sample_batches(dist, gen, count, n * n):
-        mats = flat.reshape(-1, n, n)
-        if fits:
-            hits += int(np.count_nonzero(det_batch(mats) == 0))
-        else:
-            hits += sum(_det_rows(mat.tolist()) == 0 for mat in mats)
-    return hits
+    return sum(
+        _count_singular(flat.reshape(-1, n, n), fits)
+        for flat in sample_batches(dist, gen, count, n * n)
+    )
 
 
 def mc_singularity(
@@ -148,7 +155,7 @@ def exact_singular_fraction(n: int, m: int, budget: int = DEFAULT_ENUM_BUDGET) -
             required=total,
             budget=budget,
         )
-    use_batch = batch_det_fits_int64(n, m)
+    fits = batch_det_fits_int64(n, m)
     chunk = 1 << 16
     singular = 0
     for start in range(0, total, chunk):
@@ -157,13 +164,7 @@ def exact_singular_fraction(n: int, m: int, budget: int = DEFAULT_ENUM_BUDGET) -
         digits = np.empty((stop - start, n * n), dtype=np.int64)
         for e in range(n * n - 1, -1, -1):
             idx, digits[:, e] = np.divmod(idx, width)
-        mats = digits.reshape(-1, n, n) - m
-        if use_batch:
-            singular += int(np.count_nonzero(det_batch(mats) == 0))
-        else:
-            for i in range(mats.shape[0]):
-                if _det_rows([[int(v) for v in row] for row in mats[i]]) == 0:
-                    singular += 1
+        singular += _count_singular(digits.reshape(-1, n, n) - m, fits)
     return Fraction(singular, total)
 
 

@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
+from hypothesis import given, settings, strategies as st
+
 from intmat.errors import DimensionError
 from intmat.linalg import (
     IntMatrix,
     RationalVector,
+    _det_rows,
     batch_det_fits_int64,
     det,
     det_batch,
@@ -166,6 +169,82 @@ def test_batch_det_matches_scalar():
 def test_batch_det_overflow_guard():
     assert batch_det_fits_int64(4, 8)
     assert not batch_det_fits_int64(30, 1000)
+
+
+INT64_MAX = (1 << 63) - 1
+
+
+def largest_fitting_m(n):
+    """Largest m with batch_det_fits_int64(n, m), capped at int64's range."""
+    lo, hi = 0, INT64_MAX
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        lo, hi = (mid, hi) if batch_det_fits_int64(n, mid) else (lo, mid - 1)
+    return lo
+
+
+def sylvester_hadamard(n):
+    h = np.ones((1, 1), dtype=np.int64)
+    while h.shape[0] < n:
+        h = np.block([[h, h], [h, -h]])
+    return h
+
+
+def assert_batch_matches_scalar(mats):
+    got = det_batch(mats)
+    assert got.dtype == np.int64 and got.shape == (mats.shape[0],)
+    for i in range(mats.shape[0]):
+        assert int(got[i]) == _det_rows(mats[i].tolist()), mats[i]
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_batch_det_both_branches_up_to_the_guard(n):
+    # n <= 8 takes the minor expansion, n >= 9 batch Bareiss; numpy int64
+    # wraps silently, so the all-+-m batches at the largest m the guard
+    # admits are the overflow check
+    rng = np.random.default_rng(100 + n)
+    for m in (3, largest_fitting_m(n)):
+        uniform = rng.integers(-m, m, size=(40, n, n), endpoint=True, dtype=np.int64)
+        extreme = m * rng.choice(np.array([-1, 1]), size=(40, n, n))
+        assert_batch_matches_scalar(np.concatenate([uniform, extreme]))
+        if n & (n - 1) == 0:  # a Hadamard matrix has the largest det of all +-m matrices
+            assert_batch_matches_scalar(m * sylvester_hadamard(n)[None])
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_batch_det_planted_singular(n):
+    rng = np.random.default_rng(200 + n)
+    for m in (3, largest_fitting_m(n)):
+        def draw(bound):
+            return rng.integers(-bound, bound, size=(30, n, n), endpoint=True, dtype=np.int64)
+
+        repeated_row = draw(m)
+        repeated_row[:, n - 1] = repeated_row[:, 0]
+        zero_column = draw(m)
+        zero_column[:, :, n // 2] = 0
+        planted = [repeated_row, zero_column]
+        if n >= 3:
+            row_sum = draw(m // 2)  # so the summed row stays within +-m
+            row_sum[:, n - 1] = row_sum[:, 0] + row_sum[:, 1]
+            planted.append(row_sum)
+        mats = np.concatenate(planted)
+        assert not det_batch(mats).any()
+        assert_batch_matches_scalar(mats)
+
+
+@st.composite
+def small_batches(draw):
+    n = draw(st.integers(1, 10))
+    m = draw(st.integers(0, largest_fitting_m(n)))
+    b = draw(st.integers(1, 6))
+    entries = draw(st.lists(st.integers(-m, m), min_size=b * n * n, max_size=b * n * n))
+    return np.array(entries, dtype=np.int64).reshape(b, n, n)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(small_batches())
+def test_batch_det_property_matches_scalar(mats):
+    assert_batch_matches_scalar(mats)
 
 
 def test_intmatrix_validation():

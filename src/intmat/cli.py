@@ -37,7 +37,7 @@ from .geometry import (
     sparse_residual,
 )
 from .mds import generate_mds, is_mds
-from .sampling import EntryDistribution, Seed
+from .sampling import _DRAW_BATCH, EntryDistribution, Seed
 from .singularity import (
     DEFAULT_ENUM_BUDGET,
     exact_singular_fraction,
@@ -48,6 +48,9 @@ from .singularity import (
 )
 
 import numpy as np
+
+# Largest `charfunc --grid`: grid+1 points are tabulated and written out.
+MAX_GRID = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -293,6 +296,8 @@ def _cmd_charfunc(args, out) -> int:
     grid = args.grid
     if grid < 0:
         raise DomainError("grid must be >= 0")
+    if grid > MAX_GRID:
+        raise DomainError(f"grid must be <= {MAX_GRID}")
     ys = np.linspace(0.0, 0.5, grid + 1)
     fvals = f_grid(ys, args.m)
     if args.format == "csv":
@@ -314,6 +319,9 @@ def _cmd_charfunc(args, out) -> int:
 def _cmd_smallball(args, out) -> int:
     if args.m < 1:
         raise DomainError("m must be >= 1")
+    if not 1 <= args.n <= _DRAW_BATCH:
+        # one row is drawn whole, so a longer one would pass the draw cap
+        raise DomainError(f"n must lie in [1, {_DRAW_BATCH}]")
     seed = _seed_from(args)
     # direction comes from a dedicated stream so it is independent of trials
     direction = random_unit_vector(args.n, Seed(seed.value, (seed.stream + 1) % (1 << 64)))

@@ -11,21 +11,27 @@ Monte Carlo and enumeration hot paths: a division-free expansion over
 column subsets for n <= 8, batch Bareiss above. Callers use it only when
 `batch_det_fits_int64` holds, and fall back to the scalar big-integer
 routine otherwise.
+
+`maximal_minors` gives every k x k minor of one k x n matrix (the MDS
+check) by the same expansion, one level of column subsets at a time, in
+int64 when the expansion's bound allows and in Python integers otherwise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import gcd, lcm
+from functools import lru_cache
+from itertools import chain, combinations
+from math import comb, gcd, lcm
 
 import numpy as np
 
 from .errors import DimensionError
 
-# Fixed primes for the nonsingularity pre-filter. det != 0 (mod p) proves
-# det != 0; the converse direction is always confirmed exactly.
+# Primes of the former mod-p nonsingularity prefilter. Nothing here uses
+# them; `mds` keeps importing them, with `det_mod`, while the benchmark
+# tracer (perfbench/tracing.py) still wraps `intmat.mds.det_mod`.
 _FILTER_PRIMES = ((1 << 61) - 1, 10**18 + 9)
 
 # Largest n that det_batch expands over column subsets. The expansion costs
@@ -186,18 +192,9 @@ def det_mod(m: IntMatrix, p: int) -> int:
     return d
 
 
-def is_singular(m: IntMatrix, prefilter: bool = True) -> bool:
-    """True iff det(m) = 0, with an optional sound mod-p fast path.
-
-    A nonzero determinant modulo any prime proves nonsingularity; an
-    apparent zero is always confirmed by the exact determinant.
-    """
-    if not m.is_square:
-        raise DimensionError(f"singularity test needs a square matrix, got {m.rows}x{m.cols}")
-    if prefilter and m.rows > 4:
-        for p in _FILTER_PRIMES:
-            if det_mod(m, p) != 0:
-                return False
+def is_singular(m: IntMatrix) -> bool:
+    """True iff det(m) = 0, by the exact determinant (a mod-p residue, which
+    could only prove nonsingularity, costs several times as much)."""
     return det(m) == 0
 
 
@@ -287,18 +284,84 @@ def matvec(m: IntMatrix, v: RationalVector) -> RationalVector:
     return RationalVector(tuple(out))
 
 
-def batch_det_fits_int64(n: int, max_abs: int) -> bool:
-    """Whether `det_batch` is overflow-safe for n x n matrices.
+def _expansion_fits_int64(n: int, max_abs: int) -> bool:
+    """n * m * (m * sqrt(n-1))**(n-1) < 2**63 for m = max_abs, squared to stay
+    in integers: the bound on every intermediate of the minor expansion up to
+    n rows (see `det_batch`), which grows with n."""
+    return (n * max_abs) ** 2 * (max_abs * max_abs * (n - 1)) ** (n - 1) < 1 << 126
 
-    Holds when 2 * (max_abs**2 * (n-1))**(n-1) < 2**63: twice the product
-    of two Hadamard-bounded (n-1)-minors, which is what a batch Bareiss
-    update forms. The minor expansion's intermediates are smaller; see
-    `det_batch`.
+
+def batch_det_fits_int64(n: int, max_abs: int) -> bool:
+    """Whether `det_batch` is overflow-safe for n x n matrices, per branch.
+
+    For n <= 8 (the minor expansion): n * m * (m * sqrt(n-1))**(n-1) < 2**63
+    with m = max_abs, tested exactly in integers; the largest admitted m is
+    77 at n = 8, 549 at n = 6 and 25,809 at n = 4. For n >= 9 (batch
+    Bareiss): 2 * (m**2 * (n-1))**(n-1) < 2**63, twice the product of two
+    Hadamard-bounded (n-1)-minors, which is what a Bareiss update forms.
     """
-    if n <= 1:
-        return True
+    if n <= _EXPANSION_MAX_N:
+        return _expansion_fits_int64(n, max_abs)
     b = max_abs * max_abs * (n - 1)
     return 2 * b ** (n - 1) < (1 << 63)
+
+
+@lru_cache(maxsize=64)
+def _minor_plan(n: int, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index plan for level r -> r+1 of the Laplace recurrence over n columns.
+
+    Column i is the i-th (r+1)-subset S of range(n) in `combinations` order:
+    cols[t, i] = S_t and sub[t, i] is the position of S without S_t among the
+    r-subsets, so M[i] = sum_t (-1)**(r+t) * a[r, cols[t, i]] * M_prev[sub[t, i]].
+    Both are read-only (r+1, C(n, r+1)) arrays, cached and shared.
+    """
+    count = comb(n, r + 1)
+    flat = chain.from_iterable(combinations(range(n), r + 1))
+    sets = np.fromiter(flat, dtype=np.intp, count=count * (r + 1)).reshape(count, r + 1)
+    # The lexicographic rank of an r-subset c of range(n) is
+    # C(n, r) - 1 - sum_j C(n-1-c_j, r-j). Dropping S_t leaves S_i at
+    # position j = i for i < t and j = i - 1 for i > t.
+    binom = np.array([[comb(x, y) for y in range(r + 2)] for x in range(n)], dtype=np.intp)
+    cols = np.ascontiguousarray(sets.T)
+    del sets
+    sub = np.empty_like(cols)
+    before = np.zeros(count, dtype=np.intp)
+    after = sum(binom[n - 1 - cols[t], r + 1 - t] for t in range(r + 1))
+    for t in range(r + 1):
+        after -= binom[n - 1 - cols[t], r + 1 - t]  # S_t's weight at position t - 1
+        sub[t] = comb(n, r) - 1 - before - after
+        before += binom[n - 1 - cols[t], r - t]  # S_t's weight at position t
+    cols.flags.writeable = sub.flags.writeable = False
+    return cols, sub
+
+
+def maximal_minors(m: IntMatrix) -> np.ndarray:
+    """All k x k minors of a k x n matrix, in `itertools.combinations` order.
+
+    Level r holds the minors of the first r rows on every r-subset of
+    columns; level r+1 follows by Laplace expansion along row r
+    (`_minor_plan`), vectorized over the level: about sum_r r * C(n, r)
+    multiply-adds, with max_r C(n, r) minors held at once. int64 when the
+    expansion bound proves every intermediate exact, else Python ints.
+    """
+    k, n = m.rows, m.cols
+    if k > n:
+        raise DimensionError(f"maximal minors need k <= n, got {k}x{n}")
+    dtype = np.int64 if _expansion_fits_int64(k, m.max_abs()) else object
+    a = np.array(m.to_lists(), dtype=dtype)
+    minors = np.ones(1, dtype=dtype)
+    for r in range(k):
+        cols, sub = _minor_plan(n, r)
+        row = -a[r] if r % 2 else a[r]  # folds (-1)**r into the row
+        acc = row[cols[0]] * minors[sub[0]]
+        for t in range(1, r + 1):
+            term = row[cols[t]] * minors[sub[t]]
+            if t % 2:
+                acc -= term
+            else:
+                acc += term
+        minors = acc
+    return minors
 
 
 def det_batch(mats: np.ndarray) -> np.ndarray:
@@ -316,8 +379,9 @@ def det_batch(mats: np.ndarray) -> np.ndarray:
     n * 2**(n-1) vector multiply-adds in all, with no pivoting, no row
     swaps and no division. Every intermediate is a minor of the input or a
     partial Laplace sum, bounded by (k+1) * m * (m * sqrt(k))**k for entries
-    |a| <= m. Under `batch_det_fits_int64` that is below 2**48 for
-    3 <= n <= 8 and below 2**63 for n = 2, so int64 never wraps.
+    |a| <= m. That grows with k, and `batch_det_fits_int64` keeps it below
+    2**63 at k = n-1, so int64 never wraps. The subsets and their
+    sub-subsets come from `_minor_plan`, shared with `maximal_minors`.
 
     Larger n runs batch Bareiss, whose cost grows as n**3 rather than 2**n.
     Row swaps and all-zero pivot columns (singular) are handled per
@@ -328,21 +392,22 @@ def det_batch(mats: np.ndarray) -> np.ndarray:
         raise DimensionError("batch of square matrices required")
     if n <= _EXPANSION_MAX_N:
         a = np.array(mats.transpose(1, 2, 0), dtype=np.int64, order="C")
-        minors = {(j,): a[0, j] for j in range(n)}
+        minors = list(a[0])
         for k in range(1, n):
             row = -a[k] if k % 2 else a[k]  # folds (-1)**k into the row
-            level = {}
-            for cols in combinations(range(n), k + 1):
-                acc = row[cols[0]] * minors[cols[1:]]
+            plan_cols, plan_sub = _minor_plan(n, k)
+            level = []
+            for cols, sub in zip(plan_cols.T.tolist(), plan_sub.T.tolist()):
+                acc = row[cols[0]] * minors[sub[0]]
                 for t in range(1, k + 1):
-                    term = row[cols[t]] * minors[cols[:t] + cols[t + 1 :]]
+                    term = row[cols[t]] * minors[sub[t]]
                     if t % 2:
                         acc -= term
                     else:
                         acc += term
-                level[cols] = acc
+                level.append(acc)
             minors = level
-        return minors[tuple(range(n))]
+        return minors[0]
     a = mats.astype(np.int64, copy=True)
     sign = np.ones(b, dtype=np.int64)
     dead = np.zeros(b, dtype=bool)

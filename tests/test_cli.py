@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import intmat
+from intmat import cli
 from intmat.cli import main
 from intmat.formats import read_matrix, write_matrix
 from intmat.linalg import IntMatrix
@@ -135,6 +136,14 @@ def test_mds_verify_negative_verdict_exit_0(tmp_path, capsys):
     assert payload["witness"] == [0, 1]
 
 
+def test_mds_verify_over_minor_budget_exit_2(tmp_path, capsys):
+    path = tmp_path / "wide.txt"
+    write_matrix(IntMatrix(10, 30, (1,) * 300), path)
+    code, out, err = run(capsys, ["mds", "verify", "--input", str(path), "--json"])
+    assert code == 2 and out == ""
+    assert err.startswith("intmat: ") and str(math.comb(30, 10)) in err
+
+
 def test_mds_generate_writes_verified_matrix(tmp_path, capsys):
     out_path = tmp_path / "mds.txt"
     argv = [
@@ -198,6 +207,27 @@ def test_charfunc_negative_grid_exit_1():
     assert proc.stdout == ""
     assert proc.stderr == "intmat: grid must be >= 0\n"
     assert "Number of samples" not in proc.stderr
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("validation must run before this")
+
+
+def test_charfunc_grid_over_the_cap_exit_1(capsys, monkeypatch):
+    monkeypatch.setattr(cli.np, "linspace", _refuse)
+    for grid in (cli.MAX_GRID + 1, 10**15):
+        code, out, err = run(capsys, ["charfunc", "--m", "2", "--grid", str(grid)])
+        assert code == 1 and out == ""
+        assert err == f"intmat: grid must be <= {cli.MAX_GRID}\n"
+
+
+def test_smallball_n_over_the_draw_cap_exit_1(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "random_unit_vector", _refuse)
+    for n in (0, cli._DRAW_BATCH + 1):
+        code, out, err = run(capsys, ["smallball", "--n", str(n), "--m", "2", "--eps", "0.1",
+                                      "--trials", "10", "--seed", "1"])
+        assert code == 1 and out == ""
+        assert err == f"intmat: n must lie in [1, {cli._DRAW_BATCH}]\n"
 
 
 def test_lcd_and_compress_commands(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from fractions import Fraction
+from itertools import combinations
 
 from hypothesis import given, settings, strategies as st
 
@@ -16,6 +17,7 @@ from intmat.linalg import (
     is_singular,
     kernel_basis,
     matvec,
+    maximal_minors,
     rank,
 )
 
@@ -245,6 +247,65 @@ def small_batches(draw):
 @given(small_batches())
 def test_batch_det_property_matches_scalar(mats):
     assert_batch_matches_scalar(mats)
+
+
+@pytest.mark.parametrize("n, edge", [(8, 77), (6, 549), (4, 25_809)])
+def test_expansion_guard_edge(n, edge):
+    # n * m * (m * sqrt(n-1))**(n-1) < 2**63 decides the n <= 8 branch exactly
+    assert batch_det_fits_int64(n, edge)
+    assert not batch_det_fits_int64(n, edge + 1)
+
+
+def test_expansion_guard_admits_the_exact_workload_alphabets():
+    assert batch_det_fits_int64(8, 16)
+    assert batch_det_fits_int64(6, 64)
+
+
+@st.composite
+def wide_matrices(draw):
+    """k x n matrices in both of maximal_minors' dtypes, some with planted zero minors."""
+    k = draw(st.integers(1, 5))
+    n = draw(st.integers(k, 9))
+    limit = largest_fitting_m(k)
+    m = draw(st.integers(limit + 1, 2**70) if draw(st.booleans()) else st.integers(0, limit))
+    cols = [draw(st.lists(st.integers(-m, m), min_size=k, max_size=k)) for _ in range(n)]
+    plant = draw(st.sampled_from(("none", "repeat", "sum")[: min(n, 3)]))
+    if plant != "none":
+        i, j, *rest = draw(st.permutations(range(n)))
+        cols[j] = cols[i] if plant == "repeat" else [x + y for x, y in zip(cols[i], cols[rest[0]])]
+    return plant, IntMatrix.from_rows([list(r) for r in zip(*cols)])
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(wide_matrices())
+def test_maximal_minors_match_scalar_det(case):
+    plant, m = case
+    k, n = m.rows, m.cols
+    got = maximal_minors(m)
+    fits = batch_det_fits_int64(k, m.max_abs())
+    assert got.dtype == (np.int64 if fits else object)
+    subsets = list(combinations(range(n), k))
+    assert got.shape == (len(subsets),)
+    for value, cols in zip(got, subsets):
+        assert int(value) == det(m.submatrix_columns(cols)), cols
+    if plant == "repeat" and k >= 2 or plant == "sum" and k >= 3:
+        assert (got == 0).any()
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_maximal_minors_int64_at_the_guard(k):
+    # all-+-m rows at the largest m the guard admits; for k a power of two the
+    # first k columns are m times a Hadamard matrix, the largest +-m minor
+    rng = np.random.default_rng(300 + k)
+    m = largest_fitting_m(k)
+    a = m * rng.choice(np.array([-1, 1]), size=(k, k + 3))
+    if k & (k - 1) == 0:
+        a[:, :k] = m * sylvester_hadamard(k)
+    mat = IntMatrix.from_rows(a.tolist())
+    got = maximal_minors(mat)
+    assert got.dtype == np.int64
+    for value, cols in zip(got, combinations(range(k + 3), k)):
+        assert int(value) == det(mat.submatrix_columns(cols)), cols
 
 
 def test_intmatrix_validation():

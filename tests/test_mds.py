@@ -1,9 +1,14 @@
+from itertools import combinations
+from math import comb
+
 import numpy as np
 import pytest
 
-from intmat.errors import DimensionError, DomainError, GenerationError
+from intmat import mds
+from intmat.errors import BudgetExceededError, DimensionError, DomainError, GenerationError
 from intmat.linalg import IntMatrix
 from intmat.mds import (
+    MINOR_BUDGET,
     default_generation_m,
     generate_mds,
     is_mds,
@@ -42,6 +47,64 @@ def test_random_3x6_matches_brute_oracle():
         assert mine.is_mds == truth
         if not truth:
             assert mine.witness == witness  # both scans are lexicographic
+
+
+def test_negative_verdicts_match_brute_oracle_up_to_5x10():
+    rng = np.random.default_rng(24)
+    negatives = 0
+    for k in range(1, 6):
+        for n in range(k, 11):
+            for _ in range(3):
+                rows = rng.integers(-2, 3, size=(k, n))
+                if n > k:  # plant a dependent column late in the order
+                    a, b = rng.integers(0, n - 1, size=2)
+                    rows[:, n - 1] = rows[:, a] + rows[:, b] if k > 1 else 0
+                rows = rows.tolist()
+                mine = is_mds(IntMatrix.from_rows(rows))
+                truth, witness = brute_is_mds(rows)
+                assert mine.is_mds == truth
+                if truth:
+                    assert mine.minors_checked == comb(n, k)
+                    continue
+                negatives += 1
+                assert mine.witness == witness
+                assert mine.minors_checked == list(combinations(range(n), k)).index(witness) + 1
+    assert negatives >= 100
+
+
+def test_negative_verdict_is_confirmed_by_one_scalar_det(monkeypatch):
+    det = mds.det
+    calls = []
+
+    def counted(sub):
+        calls.append(sub)
+        return det(sub)
+
+    monkeypatch.setattr(mds, "det", counted)
+    m = IntMatrix.from_rows([[1, 2, 3, 2], [0, 1, 1, 1], [4, 0, 5, 0]])  # columns 1 and 3 agree
+    verdict = is_mds(m)
+    assert verdict.witness == (0, 1, 3) and verdict.minors_checked == 2
+    assert calls == [m.submatrix_columns((0, 1, 3))]
+    calls.clear()
+    assert is_mds(vandermonde(3, 6)).is_mds
+    assert calls == []
+    # a scalar det that disagrees with the expansion is an error, not a verdict
+    monkeypatch.setattr(mds, "det", lambda sub: 1)
+    with pytest.raises(RuntimeError):
+        is_mds(m)
+
+
+def test_minor_budget_fails_before_allocating(monkeypatch):
+    def no_expansion(m):
+        raise AssertionError("maximal_minors must not run over budget")
+
+    monkeypatch.setattr(mds, "maximal_minors", no_expansion)
+    wide = IntMatrix(10, 30, (1,) * 300)
+    with pytest.raises(BudgetExceededError) as err:
+        is_mds(wide)
+    assert err.value.required == comb(30, 10) > MINOR_BUDGET
+    assert err.value.budget == MINOR_BUDGET
+    assert str(comb(30, 10)) in str(err.value)
 
 
 def test_witness_is_lexicographically_first():

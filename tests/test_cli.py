@@ -1,9 +1,13 @@
+import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 import intmat
 from intmat import cli
@@ -296,3 +300,35 @@ def test_threads_env_fallback(capsys, monkeypatch):
     monkeypatch.setenv("INTMAT_THREADS", "0")
     code, _, err = run(capsys, argv)
     assert code == 1
+
+
+# Golden normal vectors: SHA-256 prefixes of `normal-vector` stdout. The
+# vector is the canonical kernel vector (content 1, positive leading
+# coordinate), normalized, so any exact kernel algorithm prints the same
+# bytes. Five seeded 39 x 40 stacks with |a| <= 16 (one-dimensional
+# kernel), and one 5 x 6 matrix of rank 3 (three-dimensional kernel).
+GOLDEN_NORMAL_VECTOR = {
+    "39x40_seed1": "f0c0a7190268fb67",
+    "39x40_seed2": "5f47015307301c1b",
+    "39x40_seed3": "107c276547c3eb92",
+    "39x40_seed4": "2580b2b27ac9ce03",
+    "39x40_seed5": "8f484aa36ad621bd",
+    "5x6_rank3": "7b260ee1c8d22620",
+}
+
+
+def _golden_rows(name):
+    if name == "5x6_rank3":
+        return [[1, 2, 0, -1, 3, 4], [0, 1, 1, 2, -2, 0], [1, 3, 1, 1, 1, 4],
+                [2, 4, 0, -2, 6, 8], [3, -1, 2, 0, 5, 1]]
+    seed = int(name.rsplit("seed", 1)[1])
+    return np.random.default_rng(seed).integers(-16, 17, size=(39, 40)).tolist()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_NORMAL_VECTOR))
+def test_golden_normal_vector_stdout(tmp_path, capsys, name):
+    path = tmp_path / "rows.txt"
+    write_matrix(IntMatrix.from_rows(_golden_rows(name)), path)
+    code, out, _ = run(capsys, ["normal-vector", "--input", str(path), "--m", "16"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == GOLDEN_NORMAL_VECTOR[name]

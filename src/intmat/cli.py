@@ -349,8 +349,10 @@ def _cmd_smallball(args, out) -> int:
 
 
 def _cmd_normal_vector(args, out) -> int:
+    if args.m < 1:
+        raise DomainError("m must be >= 1")
     matrix = read_matrix(args.input)
-    vec = normal_vector(matrix, dist_m=args.m)
+    vec = normal_vector(matrix)
     out.write(format_vector(vec, digits=args.digits))
     return 0
 
@@ -446,7 +448,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("normal-vector", help="unit kernel vector of stacked rows")
     p.add_argument("--input", required=True)
-    p.add_argument("--m", type=int, default=1)
+    p.add_argument("--m", type=int, default=1,
+                   help="entry bound of the rows (>= 1); the output does not depend on it")
     p.add_argument("--digits", type=int, default=36)
     p.set_defaults(func=_cmd_normal_vector)
 

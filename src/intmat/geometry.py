@@ -129,16 +129,13 @@ def normalize(v, precision: int = DEFAULT_PRECISION) -> RealVector:
         return RealVector(tuple(e / nrm for e in vec.entries), precision)
 
 
-def normal_vector(rows: IntMatrix, dist_m: int = 1, precision: int = DEFAULT_PRECISION) -> RealVector:
+def normal_vector(rows: IntMatrix, precision: int = DEFAULT_PRECISION) -> RealVector:
     """Deterministic unit kernel vector of a stack of integer rows.
 
-    Scaling the rows by 1/dist_m leaves the kernel unchanged, so the
-    computation is exact on the integer matrix. When the kernel has
-    dimension > 1 the canonical basis vector with the lowest leading
-    free-column index is chosen.
+    The kernel is computed exactly on the integer matrix (scaling the rows
+    leaves it unchanged). When the kernel has dimension > 1 the canonical
+    basis vector with the lowest leading free-column index is chosen.
     """
-    if dist_m < 1:
-        raise DomainError("dist_m must be >= 1")
     basis = kernel_basis(rows)
     if not basis:
         raise DomainError("rows have full column rank; no normal vector exists")

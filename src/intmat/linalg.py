@@ -23,7 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations
-from math import comb, gcd, lcm
+from math import comb, gcd, prod
+from operator import mul
 
 import numpy as np
 
@@ -239,19 +240,12 @@ def rank(m: IntMatrix) -> int:
     return len(pivots)
 
 
-def _normalize_kernel_vector(v: list[Fraction]) -> RationalVector:
-    # integer-cleared, content-reduced, first nonzero coordinate positive
-    denom = lcm(*(f.denominator for f in v)) if len(v) > 1 else v[0].denominator
-    ints = [int(f * denom) for f in v]
-    content = 0
-    for x in ints:
-        content = gcd(content, x)
-    if content > 1:
-        ints = [x // content for x in ints]
-    lead = next((x for x in ints if x != 0), 1)
-    if lead < 0:
-        ints = [-x for x in ints]
-    return RationalVector(tuple(Fraction(x) for x in ints))
+def _canonical(x: list[int]) -> RationalVector:
+    """x divided by its content, first nonzero coordinate made positive."""
+    content = gcd(*x)
+    if x[next(i for i, v in enumerate(x) if v)] < 0:
+        content = -content
+    return RationalVector(tuple(Fraction(v // content) for v in x))
 
 
 def kernel_basis(m: IntMatrix) -> list[RationalVector]:
@@ -259,29 +253,136 @@ def kernel_basis(m: IntMatrix) -> list[RationalVector]:
 
     Each basis vector is canonical: integer entries with content 1 and a
     positive leading coordinate. Empty list iff m has full column rank.
+    A (c-1) x c matrix of rank c-1 takes the multimodular path
+    (`_cramer_kernel`); every other case, and any case that path cannot
+    certify, takes the fraction-free back substitution below.
     """
+    if m.cols == m.rows + 1:
+        x = _cramer_kernel(m)
+        if x is not None:
+            return [_canonical(x)]
     a, pivots = _echelon(m)
-    pivot_cols = [c for _, c in pivots]
-    free_cols = [c for c in range(m.cols) if c not in pivot_cols]
+    pivot_cols = {c for _, c in pivots}
     basis = []
-    for f in free_cols:
-        x = [Fraction(0)] * m.cols
-        x[f] = Fraction(1)
+    for f in range(m.cols):
+        if f in pivot_cols:
+            continue
+        x = [0] * m.cols
+        x[f] = 1
         for r, c in reversed(pivots):
-            s = sum((Fraction(a[r][j]) * x[j] for j in range(c + 1, m.cols) if x[j]), Fraction(0))
-            x[c] = -s / a[r][c]
-        basis.append(_normalize_kernel_vector(x))
+            row, piv = a[r], a[r][c]
+            s = sum(row[j] * x[j] for j in range(c + 1, m.cols) if x[j])
+            if s % piv:
+                # scale the partial solution so that piv divides s
+                scale = abs(piv) // gcd(s, piv)
+                x = [v * scale for v in x]
+                s *= scale
+            x[c] = -s // piv
+        basis.append(_canonical(x))
     return basis
 
 
-def matvec(m: IntMatrix, v: RationalVector) -> RationalVector:
-    if m.cols != len(v):
-        raise DimensionError("dimension mismatch in matrix-vector product")
-    out = []
-    for i in range(m.rows):
-        row = m.row(i)
-        out.append(sum((Fraction(row[j]) * v.entries[j] for j in range(m.cols)), Fraction(0)))
-    return RationalVector(tuple(out))
+# Distinct primes below 2**31, the largest ones, for `_cramer_kernel`:
+# residues stay below 2**31, so every product of two fits in int64. Their
+# product exceeds 2**990, twice the Hadamard bound of a 39 x 40 matrix with
+# entries up to 2**18.
+_CRT_PRIMES = (
+    2147483647, 2147483629, 2147483587, 2147483579, 2147483563, 2147483549,
+    2147483543, 2147483497, 2147483489, 2147483477, 2147483423, 2147483399,
+    2147483353, 2147483323, 2147483269, 2147483249, 2147483237, 2147483179,
+    2147483171, 2147483137, 2147483123, 2147483077, 2147483069, 2147483059,
+    2147483053, 2147483033, 2147483029, 2147482951, 2147482949, 2147482943,
+    2147482937, 2147482921,
+)
+
+
+@lru_cache(maxsize=None)
+def _crt_basis(count: int) -> tuple[int, list[int]]:
+    """(M, e) for the first `count` primes: M their product, and e_k = 1
+    modulo prime k and 0 modulo the others, so sum_k e_k * r_k is the
+    residue modulo M with residue r_k modulo prime k."""
+    primes = _CRT_PRIMES[:count]
+    modulus = prod(primes)
+    return modulus, [modulus // q * pow(modulus // q, -1, q) for q in primes]
+
+
+def _cramer_kernel(m: IntMatrix) -> list[int] | None:
+    """The Cramer vector x_j = (-1)**j * det(m without column j) of a
+    (c-1) x c matrix, by elimination modulo enough primes to exceed twice
+    its Hadamard bound (the product of the row norms) and Chinese
+    remaindering with symmetric residues (Abbott, Bronstein and Mulders,
+    ISSAC 1999). None when some prime sees rank below c-1, the primes
+    disagree on the pivot columns, the primes run out, or the exact check
+    fails.
+
+    A returned x proves itself: rank c-1 modulo a prime gives rank c-1
+    over Q, and m x = 0 with x != 0, checked in Python integers, then shows
+    that x spans the kernel.
+    """
+    r, c = m.rows, m.cols
+    rows = [m.row(i) for i in range(r)]
+    hadamard_sq = prod(sum(v * v for v in row) for row in rows)
+    count = 1
+    while prod(_CRT_PRIMES[:count]) ** 2 <= 4 * hadamard_sq:
+        if count == len(_CRT_PRIMES):
+            return None
+        count += 1
+    plist = _CRT_PRIMES[:count]
+    primes = np.array(plist, dtype=np.int64)
+    q2, q3 = primes[:, None], primes[:, None, None]
+    try:
+        a = np.array(rows, dtype=np.int64)[None] % q3
+    except OverflowError:
+        a = (np.array(rows, dtype=object)[None] % q3).astype(np.int64)
+    # Row echelon form modulo every prime at once, pivots scaled to 1; det
+    # tracks det(m without the free column) modulo each prime.
+    det = np.ones(count, dtype=np.int64)
+    pivot_cols = []
+    free = c - 1
+    for col in range(c):
+        k = len(pivot_cols)
+        if k == r:
+            break
+        piv = a[:, k, col]
+        if not piv.all():
+            nz = a[:, k:, col] != 0
+            has = nz.any(axis=1)
+            if not has.all():
+                if has.any() or k < col:
+                    return None  # the primes disagree, or a second free column
+                free = col
+                continue
+            pick = k + nz.argmax(axis=1)
+            lanes = np.arange(count)
+            a[:, k], a[lanes, pick] = a[lanes, pick], a[:, k].copy()
+            det = np.where(pick != k, primes - det, det)
+            piv = a[:, k, col]
+        det = det * piv % primes
+        inv = np.array([pow(v, -1, q) for v, q in zip(piv.tolist(), plist)], dtype=np.int64)
+        a[:, k, col:] = a[:, k, col:] * inv[:, None] % q2
+        below = a[:, k + 1 :, col, None]
+        a[:, k + 1 :, col + 1 :] -= below * a[:, k, None, col + 1 :]
+        a[:, k + 1 :, col + 1 :] %= q3
+        pivot_cols.append(col)
+    if len(pivot_cols) < r:
+        return None
+    # Back substitution with x_free = (-1)**free * det, which scales the
+    # kernel vector modulo each prime to the Cramer vector's residues.
+    x = np.zeros((count, c), dtype=np.int64)
+    x[:, free] = det if free % 2 == 0 else primes - det
+    for i in reversed(range(r)):
+        j = pivot_cols[i]
+        s = (a[:, i, j + 1 :] * x[:, j + 1 :] % q2).sum(axis=1)
+        x[:, j] = -s % primes
+    modulus, basis = _crt_basis(count)
+    half = modulus // 2
+    y = []
+    for residues in x.T.tolist():
+        v = sum(map(mul, basis, residues)) % modulus
+        y.append(v - modulus if v > half else v)
+    if any(sum(map(mul, row, y)) for row in rows) or not any(y):
+        return None
+    return y
 
 
 def _expansion_fits_int64(n: int, max_abs: int) -> bool:

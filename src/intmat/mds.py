@@ -55,30 +55,40 @@ def is_mds(m: IntMatrix) -> MdsVerdict:
     Computes all C(n, k) minors exactly (`maximal_minors`). The witness is
     the lexicographically first singular column set, and minors_checked its
     1-based position, or C(n, k) when there is none. A negative verdict is
-    confirmed by the scalar Bareiss `det` of the witness columns. Raises
-    BudgetExceededError before allocating when a level of the minor
-    expansion would hold more than MINOR_BUDGET minors.
+    confirmed by the scalar Bareiss `det` of the witness columns. When a
+    level of the expansion would hold more than MINOR_BUDGET minors but
+    C(n, k) does not exceed it, each minor is the scalar `det` instead, in
+    the same order. Raises BudgetExceededError before allocating when both
+    exceed MINOR_BUDGET.
     """
     k, n = m.rows, m.cols
     if k > n:
         raise DimensionError(f"need k <= n, got {k}x{n}")
+    total = math.comb(n, k)
     widest = math.comb(n, min(k, n // 2))
-    if widest > MINOR_BUDGET:
+    if widest <= MINOR_BUDGET:
+        minors = maximal_minors(m)
+        zeros = np.flatnonzero(minors == 0)
+        if zeros.size == 0:
+            return MdsVerdict(is_mds=True, witness=None, minors_checked=total)
+        first = int(zeros[0])
+        witness = next(islice(combinations(range(n), k), first, None))
+        if det(m.submatrix_columns(witness)) != 0:
+            raise RuntimeError(f"minor expansion and Bareiss disagree on columns {witness}")
+        return MdsVerdict(is_mds=False, witness=witness, minors_checked=first + 1)
+    if total > MINOR_BUDGET:
         raise BudgetExceededError(
             f"verifying a {k}x{n} matrix holds {widest} minors at once,"
             f" over the budget of {MINOR_BUDGET}",
             required=widest,
             budget=MINOR_BUDGET,
         )
-    minors = maximal_minors(m)
-    zeros = np.flatnonzero(minors == 0)
-    if zeros.size == 0:
-        return MdsVerdict(is_mds=True, witness=None, minors_checked=minors.size)
-    first = int(zeros[0])
-    witness = next(islice(combinations(range(n), k), first, None))
-    if det(m.submatrix_columns(witness)) != 0:
-        raise RuntimeError(f"minor expansion and Bareiss disagree on columns {witness}")
-    return MdsVerdict(is_mds=False, witness=witness, minors_checked=first + 1)
+    # Few maximal minors but a wide middle level (near-square shapes such
+    # as 19 x 19 or 16 x 20): one scalar det per minor, in the same order.
+    for checked, cols in enumerate(combinations(range(n), k), 1):
+        if det(m.submatrix_columns(cols)) == 0:
+            return MdsVerdict(is_mds=False, witness=cols, minors_checked=checked)
+    return MdsVerdict(is_mds=True, witness=None, minors_checked=total)
 
 
 def generate_mds(

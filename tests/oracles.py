@@ -70,6 +70,41 @@ def rref_kernel(rows):
     return basis
 
 
+def kernel_basis_oracle(m):
+    """The library's former kernel_basis: Bareiss echelon, then a Fraction
+    back substitution per free column, each vector integer-cleared, reduced
+    by its content and given a positive leading coordinate."""
+    from intmat.linalg import RationalVector, _echelon
+
+    a, pivots = _echelon(m)
+    pivot_cols = [c for _, c in pivots]
+    basis = []
+    for f in (c for c in range(m.cols) if c not in pivot_cols):
+        x = [Fraction(0)] * m.cols
+        x[f] = Fraction(1)
+        for r, c in reversed(pivots):
+            s = sum((Fraction(a[r][j]) * x[j] for j in range(c + 1, m.cols) if x[j]), Fraction(0))
+            x[c] = -s / a[r][c]
+        denom = math.lcm(*(v.denominator for v in x))
+        ints = [int(v * denom) for v in x]
+        content = math.gcd(*ints)
+        if next(v for v in ints if v) < 0:
+            content = -content
+        basis.append(RationalVector(tuple(Fraction(v // content) for v in ints)))
+    return basis
+
+
+def matvec(m, v):
+    """Exact product of an IntMatrix and a RationalVector."""
+    from intmat.linalg import RationalVector
+
+    assert m.cols == len(v)
+    return RationalVector(tuple(
+        sum((Fraction(m.at(i, j)) * e for j, e in enumerate(v.entries)), Fraction(0))
+        for i in range(m.rows)
+    ))
+
+
 def brute_is_mds(rows):
     """Check every k-column minor with the cofactor determinant."""
     k, n = len(rows), len(rows[0])

@@ -148,6 +148,15 @@ def test_mds_verify_over_minor_budget_exit_2(tmp_path, capsys):
     assert err.startswith("intmat: ") and str(math.comb(30, 10)) in err
 
 
+def test_mds_verify_19x19_identity_within_budget(tmp_path, capsys):
+    path = tmp_path / "square.txt"
+    write_matrix(IntMatrix.identity(19), path)
+    code, out, _ = run(capsys, ["mds", "verify", "--input", str(path), "--json"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["is_mds"] is True and payload["minors_checked"] == 1
+
+
 def test_mds_generate_writes_verified_matrix(tmp_path, capsys):
     out_path = tmp_path / "mds.txt"
     argv = [
@@ -282,6 +291,20 @@ def test_normal_vector_command(tmp_path, capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "3"
     assert [float(v) for v in lines[1:]] == [0.0, 0.0, 1.0]
+
+
+def test_normal_vector_m_is_checked_but_does_not_change_the_output(tmp_path, capsys):
+    path = tmp_path / "rows.txt"
+    write_matrix(IntMatrix.from_rows([[1, 2, 3], [-4, 5, 6]]), path)
+    outputs = set()
+    for m in ("1", "6", "1000"):
+        code, out, _ = run(capsys, ["normal-vector", "--input", str(path), "--m", m])
+        assert code == 0
+        outputs.add(out)
+    assert len(outputs) == 1
+    code, out, err = run(capsys, ["normal-vector", "--input", str(path), "--m", "0"])
+    assert code == 1 and out == ""
+    assert err == "intmat: m must be >= 1\n"
 
 
 def test_missing_file_exit_1(capsys):

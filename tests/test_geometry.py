@@ -75,7 +75,7 @@ def test_normal_vector_orthogonal_to_rows():
     for _ in range(20):
         rows = rng.integers(-8, 9, size=(5, 6)).tolist()
         m = IntMatrix.from_rows(rows)
-        x = normal_vector(m, dist_m=8)
+        x = normal_vector(m)
         with mpmath.workprec(x.precision):
             for row in rows:
                 dot = mpmath.fsum(int(a) * e for a, e in zip(row, x.entries))

@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 from fractions import Fraction
 from itertools import combinations
+from math import isqrt
 
 from hypothesis import given, settings, strategies as st
 
+from intmat import linalg
 from intmat.errors import DimensionError
 from intmat.linalg import (
+    _CRT_PRIMES,
     IntMatrix,
     RationalVector,
     _det_rows,
@@ -16,12 +19,11 @@ from intmat.linalg import (
     det_mod,
     is_singular,
     kernel_basis,
-    matvec,
     maximal_minors,
     rank,
 )
 
-from oracles import cofactor_det, rref_kernel, rref_rank
+from oracles import cofactor_det, kernel_basis_oracle, matvec, rref_kernel, rref_rank
 
 
 def random_matrix(rng, rows, cols, lo, hi):
@@ -148,6 +150,85 @@ def test_kernel_canonical_normalization():
         assert all(e.denominator == 1 for e in ints)
         lead = next(e for e in ints if e != 0)
         assert lead > 0
+
+
+@st.composite
+def kernel_inputs(draw):
+    # mostly (c-1) x c, the multimodular path's shape; small entries make
+    # rank deficiency likely, large ones need several primes
+    r = draw(st.integers(1, 6))
+    c = r + 1 if draw(st.booleans()) else draw(st.integers(1, 7))
+    bound = draw(st.sampled_from((1, 3, 2**20, 2**40)))
+    entries = draw(st.lists(st.integers(-bound, bound), min_size=r * c, max_size=r * c))
+    return IntMatrix(r, c, tuple(entries))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(kernel_inputs())
+def test_kernel_basis_matches_fraction_oracle(m):
+    assert kernel_basis(m) == kernel_basis_oracle(m)
+
+
+def test_crt_primes_are_distinct_31_bit_primes():
+    assert len(set(_CRT_PRIMES)) == len(_CRT_PRIMES)
+    for p in _CRT_PRIMES:
+        assert 2 < p < 2**31
+        assert all(p % d for d in range(3, isqrt(p) + 1, 2))
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[_CRT_PRIMES[0], 0, 0], [0, 1, 0]],  # rank 1 modulo the first prime only
+        [[1, 2, 3, 4], [2, 4, 6, 8], [0, 1, 1, 1]],  # rank-deficient 3 x 4
+        [[0, 0, 0], [0, 0, 0]],  # zero matrix, (c-1) x c
+        [[0, 0, 1], [0, 0, 2]],  # two free columns
+    ],
+)
+def test_kernel_basis_fallback_from_the_multimodular_shape(rows):
+    m = IntMatrix.from_rows(rows)
+    assert linalg._cramer_kernel(m) is None
+    assert kernel_basis(m) == kernel_basis_oracle(m)
+
+
+@pytest.mark.parametrize("rows", [[[0, 5]], [[1, 2, 3], [2, 4, 7]], [[0, 1, 2], [0, 3, 5]]])
+def test_kernel_basis_multimodular_with_an_early_free_column(rows):
+    m = IntMatrix.from_rows(rows)
+    assert linalg._cramer_kernel(m) is not None
+    assert kernel_basis(m) == kernel_basis_oracle(m)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[1, 2, 3], [2, 4, 6], [1, 0, 1], [3, 4, 7], [0, 1, 1]],  # tall, rank 2
+        [[1, 2], [3, 4], [5, 6]],  # tall, full column rank
+        [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],  # zero
+        [[2**70 + 1, 3, 5], [7, 2**65, 11], [13, 17, 19], [1, 1, 1]],  # tall, huge entries
+    ],
+)
+def test_kernel_basis_other_shapes_take_the_integer_back_substitution(rows, monkeypatch):
+    def no_multimodular(m):
+        raise AssertionError("only (c-1) x c matrices take the multimodular path")
+
+    monkeypatch.setattr(linalg, "_cramer_kernel", no_multimodular)
+    m = IntMatrix.from_rows(rows)
+    assert kernel_basis(m) == kernel_basis_oracle(m)
+
+
+def test_kernel_basis_primes_run_out():
+    # the Hadamard bound of 3 x 4 with entries 2**400 needs more than 2**990
+    m = IntMatrix.from_rows([[2**400, 1, 2, 3], [4, 2**400 + 5, 6, 7], [8, 9, 2**400, 11]])
+    assert linalg._cramer_kernel(m) is None
+    assert kernel_basis(m) == kernel_basis_oracle(m)
+
+
+def test_kernel_basis_39x40_multimodular_matches_oracle():
+    rng = np.random.default_rng(40)
+    for _ in range(3):
+        m = random_matrix(rng, 39, 40, -16, 16)
+        assert linalg._cramer_kernel(m) is not None
+        assert kernel_basis(m) == kernel_basis_oracle(m)
 
 
 def test_det_mod_agrees_with_det():

@@ -107,6 +107,36 @@ def test_minor_budget_fails_before_allocating(monkeypatch):
     assert str(comb(30, 10)) in str(err.value)
 
 
+def _no_expansion(m):
+    raise AssertionError("maximal_minors must not run when its widest level is over budget")
+
+
+def test_near_square_shapes_within_budget_use_scalar_det(monkeypatch):
+    # the 19 x 19 identity has one maximal minor, but C(19, 9) = 92,378
+    # minors in the expansion's middle level
+    monkeypatch.setattr(mds, "maximal_minors", _no_expansion)
+    assert comb(19, 9) > MINOR_BUDGET
+    assert is_mds(IntMatrix.identity(19)) == mds.MdsVerdict(True, None, 1)
+    singular = IntMatrix(19, 19, IntMatrix.identity(19).entries[:-1] + (0,))
+    assert is_mds(singular) == mds.MdsVerdict(False, tuple(range(19)), 1)
+
+
+def test_16x20_vandermonde_is_mds_within_budget(monkeypatch):
+    # C(20, 16) = 4,845 maximal minors; the widest level, C(20, 10), is over
+    monkeypatch.setattr(mds, "maximal_minors", _no_expansion)
+    assert comb(20, 16) <= MINOR_BUDGET < comb(20, 10)
+    assert is_mds(vandermonde(16, 20)) == mds.MdsVerdict(True, None, comb(20, 16))
+
+
+def test_16x20_scalar_path_keeps_witness_order(monkeypatch):
+    # [I | 0]: the first column set is nonsingular, the second takes column 16
+    monkeypatch.setattr(mds, "maximal_minors", _no_expansion)
+    rows = [[int(i == j) for j in range(20)] for i in range(16)]
+    verdict = is_mds(IntMatrix.from_rows(rows))
+    assert verdict.witness == tuple(range(15)) + (16,)
+    assert verdict.minors_checked == 2
+
+
 def test_witness_is_lexicographically_first():
     # columns 0,1 dependent and columns 2,3 dependent: (0,1) must win
     m = IntMatrix.from_rows([[1, 2, 1, 3], [2, 4, 0, 0]])

@@ -2,9 +2,16 @@
 
 Everything here is exact. Determinants use fraction-free (Bareiss)
 elimination on Python integers, so there is no rounding anywhere and no
-rational blow-up during the forward pass. Rank and kernel bases come from
-the same fraction-free echelon form, with a cheap rational back
-substitution only at the end.
+rational blow-up during the forward pass. Rank comes from the same
+fraction-free echelon form.
+
+`kernel_basis` has two exact paths. A (c-1) x c matrix of rank c-1 (the
+normal vector of c-1 rows) gets its Cramer vector by elimination modulo
+just enough 31-bit primes at once, as one int64 stack, and Chinese
+remaindering; an exact integer check that the vector is a kernel vector
+proves the result. Every other case, and any case that check or a prime
+rejects, back-substitutes on the fraction-free echelon form in integers,
+scaling the partial solution instead of dividing.
 
 `det_batch` gives exact int64 determinants of a whole batch at once for the
 Monte Carlo and enumeration hot paths: a division-free expansion over

@@ -269,11 +269,10 @@ def kernel_basis(m: IntMatrix) -> list[RationalVector]:
         if x is not None:
             return [_canonical(x)]
     a, pivots = _echelon(m)
-    pivot_cols = {c for _, c in pivots}
+    pivot_cols = [c for _, c in pivots]
+    free_cols = [c for c in range(m.cols) if c not in pivot_cols]
     basis = []
-    for f in range(m.cols):
-        if f in pivot_cols:
-            continue
+    for f in free_cols:
         x = [0] * m.cols
         x[f] = 1
         for r, c in reversed(pivots):
@@ -371,8 +370,6 @@ def _cramer_kernel(m: IntMatrix) -> list[int] | None:
         a[:, k + 1 :, col + 1 :] -= below * a[:, k, None, col + 1 :]
         a[:, k + 1 :, col + 1 :] %= q3
         pivot_cols.append(col)
-    if len(pivot_cols) < r:
-        return None
     # Back substitution with x_free = (-1)**free * det, which scales the
     # kernel vector modulo each prime to the Cramer vector's residues.
     x = np.zeros((count, c), dtype=np.int64)

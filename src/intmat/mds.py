@@ -64,31 +64,31 @@ def is_mds(m: IntMatrix) -> MdsVerdict:
     k, n = m.rows, m.cols
     if k > n:
         raise DimensionError(f"need k <= n, got {k}x{n}")
-    total = math.comb(n, k)
     widest = math.comb(n, min(k, n // 2))
-    if widest <= MINOR_BUDGET:
-        minors = maximal_minors(m)
-        zeros = np.flatnonzero(minors == 0)
-        if zeros.size == 0:
-            return MdsVerdict(is_mds=True, witness=None, minors_checked=total)
-        first = int(zeros[0])
-        witness = next(islice(combinations(range(n), k), first, None))
-        if det(m.submatrix_columns(witness)) != 0:
-            raise RuntimeError(f"minor expansion and Bareiss disagree on columns {witness}")
-        return MdsVerdict(is_mds=False, witness=witness, minors_checked=first + 1)
-    if total > MINOR_BUDGET:
-        raise BudgetExceededError(
-            f"verifying a {k}x{n} matrix holds {widest} minors at once,"
-            f" over the budget of {MINOR_BUDGET}",
-            required=widest,
-            budget=MINOR_BUDGET,
-        )
-    # Few maximal minors but a wide middle level (near-square shapes such
-    # as 19 x 19 or 16 x 20): one scalar det per minor, in the same order.
-    for checked, cols in enumerate(combinations(range(n), k), 1):
-        if det(m.submatrix_columns(cols)) == 0:
-            return MdsVerdict(is_mds=False, witness=cols, minors_checked=checked)
-    return MdsVerdict(is_mds=True, witness=None, minors_checked=total)
+    if widest > MINOR_BUDGET:
+        total = math.comb(n, k)
+        if total > MINOR_BUDGET:
+            raise BudgetExceededError(
+                f"verifying a {k}x{n} matrix holds {widest} minors at once,"
+                f" over the budget of {MINOR_BUDGET}",
+                required=widest,
+                budget=MINOR_BUDGET,
+            )
+        # Few maximal minors but a wide middle level (near-square shapes such
+        # as 19 x 19 or 16 x 20): one scalar det per minor, in the same order.
+        for checked, cols in enumerate(combinations(range(n), k), 1):
+            if det(m.submatrix_columns(cols)) == 0:
+                return MdsVerdict(is_mds=False, witness=cols, minors_checked=checked)
+        return MdsVerdict(is_mds=True, witness=None, minors_checked=total)
+    minors = maximal_minors(m)
+    zeros = np.flatnonzero(minors == 0)
+    if zeros.size == 0:
+        return MdsVerdict(is_mds=True, witness=None, minors_checked=minors.size)
+    first = int(zeros[0])
+    witness = next(islice(combinations(range(n), k), first, None))
+    if det(m.submatrix_columns(witness)) != 0:
+        raise RuntimeError(f"minor expansion and Bareiss disagree on columns {witness}")
+    return MdsVerdict(is_mds=False, witness=witness, minors_checked=first + 1)
 
 
 def generate_mds(

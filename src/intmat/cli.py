@@ -12,6 +12,7 @@ exact, as reduced "p/q" strings.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -357,7 +358,10 @@ def _cmd_normal_vector(args, out) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser, built once per process: parsing keeps no state
+    in it, so repeated in-process `main` calls share one."""
     parser = _Parser(prog="intmat", description=__doc__)
     parser.add_argument("--version", action="version", version=f"intmat {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -457,9 +461,8 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

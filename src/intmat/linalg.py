@@ -14,10 +14,11 @@ rejects, back-substitutes on the fraction-free echelon form in integers,
 scaling the partial solution instead of dividing.
 
 `det_batch` gives exact int64 determinants of a whole batch at once for the
-Monte Carlo and enumeration hot paths: a division-free expansion over
-column subsets for n <= 8, batch Bareiss above. Callers use it only when
-`batch_det_fits_int64` holds, and fall back to the scalar big-integer
-routine otherwise.
+Monte Carlo hot path: a division-free expansion over column subsets
+(`leading_minors`) for n <= 8, batch Bareiss above. Callers use it only
+when `batch_det_fits_int64` holds, and fall back to the scalar big-integer
+routine otherwise. Exact enumeration stops the same expansion one level
+early, for the maximal minors of a batch of (n-1) x n row stacks.
 
 `maximal_minors` gives every k x k minor of one k x n matrix (the MDS
 check) by the same expansion, one level of column subsets at a time, in
@@ -469,24 +470,51 @@ def maximal_minors(m: IntMatrix) -> np.ndarray:
     return minors
 
 
+def leading_minors(a: np.ndarray, k: int) -> list[np.ndarray]:
+    """Minors of the first k rows of a batch on every k-subset of columns.
+
+    a is (rows, n, B), the batch with its matrix index last; the result
+    holds C(n, k) B-vectors in `combinations` order of the column subsets.
+    With M[S] the minor of the first r rows on the r columns S, the
+    (r+1)-minors follow by Laplace expansion along row r,
+
+        M[S] = sum_t (-1)**(r+t) * a[r, S_t] * M[S without S_t],
+
+    with no pivoting, no row swaps and no division; the subsets and their
+    sub-subsets come from `_minor_plan`. Every intermediate is a minor of
+    the input or a partial Laplace sum, bounded by (r+1) * m * (m * sqrt(r))**r
+    for entries |a| <= m, so int64 is exact when `_expansion_fits_int64(k, m)`
+    holds; a dtype=object batch computes in Python integers.
+    """
+    minors = list(a[0])
+    for r in range(1, k):
+        row = -a[r] if r % 2 else a[r]  # folds (-1)**r into the row
+        plan_cols, plan_sub = _minor_plan(a.shape[1], r)
+        level = []
+        for cols, sub in zip(plan_cols.T.tolist(), plan_sub.T.tolist()):
+            acc = row[cols[0]] * minors[sub[0]]
+            for t in range(1, r + 1):
+                term = row[cols[t]] * minors[sub[t]]
+                if t % 2:
+                    acc -= term
+                else:
+                    acc += term
+            level.append(acc)
+        minors = level
+    return minors
+
+
 def det_batch(mats: np.ndarray) -> np.ndarray:
     """Exact determinants of a batch of small integer matrices.
 
     mats is (B, n, n) integer-valued; the caller must ensure
     `batch_det_fits_int64(n, max|entry|)`.
 
-    For n <= 8 this is a division-free expansion over column subsets: with
-    M[S] the minor of the first k rows on the k columns S (one B-vector),
-    the (k+1)-minors follow by Laplace expansion along row k,
-
-        M[S] = sum_t (-1)**(k+t) * a[k, S_t] * M[S without S_t],
-
-    n * 2**(n-1) vector multiply-adds in all, with no pivoting, no row
-    swaps and no division. Every intermediate is a minor of the input or a
-    partial Laplace sum, bounded by (k+1) * m * (m * sqrt(k))**k for entries
-    |a| <= m. That grows with k, and `batch_det_fits_int64` keeps it below
-    2**63 at k = n-1, so int64 never wraps. The subsets and their
-    sub-subsets come from `_minor_plan`, shared with `maximal_minors`.
+    For n <= 8 this is the division-free expansion over column subsets of
+    `leading_minors`, run to its last level: n * 2**(n-1) vector
+    multiply-adds in all. Its intermediates grow with the level, and
+    `batch_det_fits_int64` keeps them below 2**63 at level n-1, so int64
+    never wraps.
 
     Larger n runs batch Bareiss, whose cost grows as n**3 rather than 2**n.
     Row swaps and all-zero pivot columns (singular) are handled per
@@ -497,22 +525,7 @@ def det_batch(mats: np.ndarray) -> np.ndarray:
         raise DimensionError("batch of square matrices required")
     if n <= _EXPANSION_MAX_N:
         a = np.array(mats.transpose(1, 2, 0), dtype=np.int64, order="C")
-        minors = list(a[0])
-        for k in range(1, n):
-            row = -a[k] if k % 2 else a[k]  # folds (-1)**k into the row
-            plan_cols, plan_sub = _minor_plan(n, k)
-            level = []
-            for cols, sub in zip(plan_cols.T.tolist(), plan_sub.T.tolist()):
-                acc = row[cols[0]] * minors[sub[0]]
-                for t in range(1, k + 1):
-                    term = row[cols[t]] * minors[sub[t]]
-                    if t % 2:
-                        acc -= term
-                    else:
-                        acc += term
-                level.append(acc)
-            minors = level
-        return minors[0]
+        return leading_minors(a, n)[0]
     a = mats.astype(np.int64, copy=True)
     sign = np.ones(b, dtype=np.int64)
     dead = np.zeros(b, dtype=bool)

@@ -4,19 +4,23 @@ analytic bounds, and the exponent fit for the m**(-c*n) scaling law."""
 from __future__ import annotations
 
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from statistics import NormalDist
 
 import numpy as np
 
 from .errors import BudgetExceededError, DomainError, FitError
-from .linalg import batch_det_fits_int64, det_batch, _det_rows
+from .linalg import batch_det_fits_int64, det_batch, leading_minors, _det_rows
 from .sampling import EntryDistribution, Seed, generator, sample_batches
 
 SHARD_TRIALS = 1 << 15
 DEFAULT_ENUM_BUDGET = 10**8
+_ENUM_CHUNK = 1 << 16  # row stacks per chunk of exact_singular_fraction
+_HITS_ENTRIES = 1 << 20  # key-by-last-row product entries per step (one key at least)
 
 
 def wilson_interval(hits: int, trials: int, confidence: float = 0.95) -> tuple[float, float]:
@@ -138,11 +142,29 @@ def mc_singularity(
     return EstimateReport.from_counts(trials, hits, seed, n, m, elapsed)
 
 
-def exact_singular_fraction(n: int, m: int, budget: int = DEFAULT_ENUM_BUDGET) -> Fraction:
-    """Exact Pr[M singular] by full enumeration of all (2m+1)**(n*n) matrices.
+def _cube(start: int, stop: int, m: int, length: int) -> np.ndarray:
+    """Points start..stop-1 of {-m, ..., m}**length as a (stop-start, length)
+    int64 array, in row-major odometer order (last coordinate fastest)."""
+    idx = np.arange(start, stop, dtype=np.int64)
+    digits = np.empty((stop - start, length), dtype=np.int64)
+    for e in range(length - 1, -1, -1):
+        idx, digits[:, e] = np.divmod(idx, 2 * m + 1)
+    return digits - m
 
-    Enumeration is a row-major odometer over entries of {-m, ..., m}
-    (last entry varies fastest), processed in restartable chunks.
+
+def exact_singular_fraction(n: int, m: int, budget: int = DEFAULT_ENUM_BUDGET) -> Fraction:
+    """Exact Pr[M singular] over all (2m+1)**(n*n) matrices, by span counting.
+
+    det M = c . r for the last row r, where c holds the n signed maximal
+    minors of the first n-1 rows. Only those (2m+1)**(n*(n-1)) row stacks
+    are enumerated, in chunks; their minors come from `leading_minors`.
+    The alphabet is symmetric and r ranges over the whole cube, so the
+    number of r with c . r = 0 depends only on sorted |c|: the stacks are
+    tallied by that key, and each distinct key is multiplied against every
+    last row once. int64 when `batch_det_fits_int64` holds (it bounds every
+    minor and every partial sum of c . r), else Python integers. The budget
+    still counts all (2m+1)**(n*n) matrices; n = 1 and m = 0 are closed
+    forms.
     """
     if n < 1 or m < 0:
         raise DomainError("need n >= 1 and m >= 0")
@@ -155,16 +177,24 @@ def exact_singular_fraction(n: int, m: int, budget: int = DEFAULT_ENUM_BUDGET) -
             required=total,
             budget=budget,
         )
-    fits = batch_det_fits_int64(n, m)
-    chunk = 1 << 16
+    if n == 1 or m == 0:
+        return Fraction(1, width) if n == 1 else Fraction(1)
+    dtype = np.int64 if batch_det_fits_int64(n, m) else object
+    stacks = width ** (n * (n - 1))
+    tally: Counter[tuple] = Counter()
+    for start in range(0, stacks, _ENUM_CHUNK):
+        rows = _cube(start, min(start + _ENUM_CHUNK, stacks), m, n * (n - 1))
+        a = np.array(rows.reshape(-1, n - 1, n).transpose(1, 2, 0), dtype=dtype, order="C")
+        keys = np.sort(np.abs(np.stack(leading_minors(a, n - 1), axis=1)), axis=1)
+        tally.update(map(tuple, keys.tolist()))
+    last = _cube(0, width**n, m, n).T.astype(dtype)
+    keys = np.array(list(tally), dtype=dtype)
+    reps = list(tally.values())
+    step = max(1, _HITS_ENTRIES // width**n)
     singular = 0
-    for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
-        idx = np.arange(start, stop, dtype=np.int64)
-        digits = np.empty((stop - start, n * n), dtype=np.int64)
-        for e in range(n * n - 1, -1, -1):
-            idx, digits[:, e] = np.divmod(idx, width)
-        singular += _count_singular(digits.reshape(-1, n, n) - m, fits)
+    for i in range(0, len(reps), step):
+        hits = np.count_nonzero(keys[i : i + step] @ last == 0, axis=1)
+        singular += sum(map(mul, reps[i : i + step], hits.tolist()))
     return Fraction(singular, total)
 
 

@@ -94,6 +94,31 @@ def kernel_basis_oracle(m):
     return basis
 
 
+def enumerate_singular_fraction(n, m):
+    """The library's former exact_singular_fraction: every one of the
+    (2m+1)**(n*n) matrices in row-major odometer order, in chunks of 2**16,
+    each decided by the Monte Carlo kernel (int64 `det_batch` when its
+    bound holds, else big-integer Bareiss)."""
+    import numpy as np
+
+    from intmat.linalg import batch_det_fits_int64
+    from intmat.singularity import _count_singular
+
+    width = 2 * m + 1
+    total = width ** (n * n)
+    fits = batch_det_fits_int64(n, m)
+    chunk = 1 << 16
+    singular = 0
+    for start in range(0, total, chunk):
+        stop = min(start + chunk, total)
+        idx = np.arange(start, stop, dtype=np.int64)
+        digits = np.empty((stop - start, n * n), dtype=np.int64)
+        for e in range(n * n - 1, -1, -1):
+            idx, digits[:, e] = np.divmod(idx, width)
+        singular += _count_singular(digits.reshape(-1, n, n) - m, fits)
+    return Fraction(singular, total)
+
+
 def matvec(m, v):
     """Exact product of an IntMatrix and a RationalVector."""
     from intmat.linalg import RationalVector

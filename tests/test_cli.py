@@ -44,6 +44,12 @@ def test_exact_budget_exceeded_exit_2(capsys):
     assert "budget" in err
 
 
+def test_exact_zero_alphabet_closed_form(capsys):
+    code, out, _ = run(capsys, ["exact", "--n", "20", "--m", "0", "--json"])
+    assert code == 0
+    assert json.loads(out)["fraction_exact"] == "1/1"
+
+
 def test_unknown_flag_usage_exit_1(capsys):
     code, _, err = run(capsys, ["exact", "--n", "1", "--m", "1", "--bogus"])
     assert code == 1
@@ -203,6 +209,25 @@ def _cli_subprocess(argv):
         [sys.executable, "-m", "intmat.cli", *argv],
         capture_output=True, text=True, env=env, timeout=60,
     )
+
+
+def test_repeated_main_calls_match_fresh_processes(tmp_path, capsys):
+    # the parser is built once per process; no default or subcommand may
+    # leak from one call into the next
+    path = tmp_path / "dup.txt"
+    write_matrix(IntMatrix.from_rows([[1, 1, 2], [3, 3, 4]]), path)
+    estimate = ["estimate", "--n", "2", "--m", "2", "--trials", "5000", "--seed", "9",
+                "--threads", "1"]
+    runs = [estimate + ["--csv"], estimate, ["mds", "verify", "--input", str(path)]]
+
+    def stable(out):  # the human report's wall time differs between runs
+        return [line for line in out.splitlines() if not line.startswith("elapsed_s:")]
+
+    for argv in runs:
+        code, out, err = run(capsys, argv)
+        proc = _cli_subprocess(argv)
+        assert (code, stable(out), err) == (proc.returncode, stable(proc.stdout), proc.stderr)
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_smallball_m_zero_fails_before_sampling():

@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+import intmat.singularity
 from intmat.errors import BudgetExceededError, DomainError, FitError
 from intmat.sampling import EntryDistribution, Seed
 from intmat.singularity import (
@@ -15,7 +16,7 @@ from intmat.singularity import (
     wilson_interval,
 )
 
-from oracles import cofactor_det
+from oracles import cofactor_det, enumerate_singular_fraction
 
 
 def test_exact_fraction_n1():
@@ -34,6 +35,34 @@ def test_exact_fraction_n2_m1_oracle():
     assert frac == Fraction(singular, 81)
     # equal-rows injection: at least 3^(4-2) singular matrices
     assert singular >= 9
+
+
+# Every (n, m) whose full enumeration is at most 2 * 10**6 matrices, for
+# n <= 8: n = 1 up to m = 18 and at m = 999,999, n = 2 up to m = 18, n = 3
+# up to m = 2, and m = 0 beyond.
+ORACLE_GRID = [(1, 999_999)] + [
+    (n, m) for n in range(1, 9) for m in range(19) if (2 * m + 1) ** (n * n) <= 2 * 10**6
+]
+
+
+@pytest.mark.parametrize("n, m", ORACLE_GRID)
+def test_exact_fraction_matches_full_enumeration(n, m):
+    assert exact_singular_fraction(n, m) == enumerate_singular_fraction(n, m)
+
+
+def test_exact_fraction_pinned_values():
+    # both checked once against enumerate_singular_fraction (43 M and 40 M
+    # matrices), which is too slow to run here
+    assert exact_singular_fraction(4, 1) == Fraction(1677689, 4782969)
+    assert exact_singular_fraction(3, 3) == Fraction(2840071, 40353607)
+
+
+@pytest.mark.parametrize("n, m, frac", [
+    (2, 2, Fraction(129, 625)), (3, 1, Fraction(875, 2187)), (3, 2, Fraction(305381, 1953125)),
+])
+def test_exact_fraction_python_int_fallback(monkeypatch, n, m, frac):
+    monkeypatch.setattr(intmat.singularity, "batch_det_fits_int64", lambda n, m: False)
+    assert exact_singular_fraction(n, m) == frac
 
 
 def test_exact_fraction_budget():

@@ -107,9 +107,17 @@ def _human(v) -> str:
 
 
 def _resolve_threads(args) -> int:
+    """--threads, else INTMAT_THREADS, else the number of CPUs this process
+    may run on."""
     threads = getattr(args, "threads", None)
     if threads is None:
-        threads = int(os.environ.get("INTMAT_THREADS", "1"))
+        env = os.environ.get("INTMAT_THREADS")
+        if env is not None:
+            threads = int(env)
+        elif hasattr(os, "sched_getaffinity"):  # not on every platform
+            threads = len(os.sched_getaffinity(0))
+        else:
+            threads = os.cpu_count() or 1
     if threads < 1:
         raise DomainError("threads must be >= 1")
     return threads
@@ -324,12 +332,15 @@ def _cmd_smallball(args, out) -> int:
         # one row is drawn whole, so a longer one would pass the draw cap
         raise DomainError(f"n must lie in [1, {_DRAW_BATCH}]")
     seed = _seed_from(args)
+    threads = _resolve_threads(args)
     # direction comes from a dedicated stream so it is independent of trials
     direction = random_unit_vector(args.n, Seed(seed.value, (seed.stream + 1) % (1 << 64)))
     params = None
     if args.alpha is not None and args.beta is not None:
         params = LcdParams(alpha=args.alpha, beta=args.beta)
-    report = small_ball_probe(direction, args.m, args.eps, args.trials, seed, lcd_params=params)
+    report = small_ball_probe(
+        direction, args.m, args.eps, args.trials, seed, lcd_params=params, threads=threads
+    )
     mc = report.mc_probability
     payload = {
         "version": __version__,
@@ -447,6 +458,7 @@ def build_parser() -> _Parser:
     p.add_argument("--stream", type=int, default=0)
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--beta", type=float, default=None)
+    p.add_argument("--threads", type=int, default=None)
     add_format(p, csv_ok=False)
     p.set_defaults(func=_cmd_smallball)
 

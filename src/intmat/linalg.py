@@ -135,9 +135,6 @@ class RationalVector:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def norm_squared(self) -> Fraction:
-        return sum((e * e for e in self.entries), Fraction(0))
-
 
 def det(m: IntMatrix) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination."""

@@ -5,16 +5,19 @@ seed value and 64-bit stream index, and parallel Monte Carlo shards offset
 the 256-bit counter, so every draw is determined by (seed, stream, shard)
 independently of thread scheduling.
 
-Stream version 2 (STREAM_VERSION): uniform {-m, ..., m} entries are numpy's
+Stream version 3 (STREAM_VERSION): uniform {-m, ..., m} entries are numpy's
 bounded integers (Lemire's multiply-shift rejection, exactly uniform) on
-the keyed Philox stream; custom pmfs map raw 64-bit words through an exact
-cumulative table. Callers that draw many matrices or rows draw them in
-sub-batches of at most _DRAW_BATCH entries (sample_batches). The draws do
-not depend on that size: Philox keeps the spare 32-bit half of a word in
-its own state between calls, so consecutive draws concatenate to one long
-draw, and the tests check that. tests/test_sampling.py pins the stream with
-golden hashes; numpy does not promise stable Generator streams across
-versions (NEP 19), so a numpy upgrade can fail that test.
+the keyed Philox stream, drawn and returned as int16 when m < _NARROW_M =
+2**11 and as int64 above; custom pmfs map raw 64-bit words through an
+exact cumulative table. Callers that draw many matrices or rows draw them
+in sub-batches of whole items, at most _DRAW_BATCH entries each
+(sample_batches). numpy keeps no spare 16-bit draws between calls, so for
+the int16 laws that sub-batch schedule is part of the stream; int64 and
+custom-pmf draws still concatenate across calls (Philox keeps the spare
+32-bit half of a word in its own state), and the tests check both.
+tests/test_sampling.py pins the stream with golden hashes; numpy does not
+promise stable Generator streams across versions (NEP 19), so a numpy
+upgrade can fail that test.
 """
 
 from __future__ import annotations
@@ -27,8 +30,9 @@ import numpy as np
 from .errors import DomainError
 from .linalg import IntMatrix
 
-STREAM_VERSION = 2
-_DRAW_BATCH = 1 << 20  # entries per sub-batch: bounds memory, not part of the draws
+STREAM_VERSION = 3
+_DRAW_BATCH = 1 << 20  # entries per sub-batch; part of the stream for int16 draws
+_NARROW_M = 1 << 11  # uniform laws with m below it draw int16 (part of the stream)
 _U64 = 1 << 64
 _INT64_LIMIT = 1 << 63
 
@@ -46,9 +50,6 @@ class Seed:
             if not 0 <= v < _U64:
                 raise DomainError(f"seed {name} must be an unsigned 64-bit integer")
 
-    def with_stream(self, stream: int) -> "Seed":
-        return Seed(self.value, stream)
-
 
 def generator(seed: Seed, shard: int = 0) -> np.random.Generator:
     """Philox generator keyed by (seed.value, seed.stream).
@@ -62,7 +63,9 @@ def generator(seed: Seed, shard: int = 0) -> np.random.Generator:
 
 
 def raw_u64(gen: np.random.Generator, count: int) -> np.ndarray:
-    return gen.integers(0, _U64, size=count, dtype=np.uint64)
+    """`count` raw 64-bit Philox words: the words gen.integers(0, 2**64,
+    dtype=np.uint64) returns, without its range handling."""
+    return gen.bit_generator.random_raw(count)
 
 
 @dataclass(frozen=True)
@@ -80,7 +83,7 @@ class EntryDistribution:
 
     def __post_init__(self):
         if self.kind == "uniform_symmetric":
-            # draws are int64, so m itself must fit
+            # wide draws are int64, so m itself must fit
             if self.m is None or not 0 <= self.m < _INT64_LIMIT:
                 raise DomainError("uniform_symmetric needs 0 <= m < 2**63")
         elif self.kind == "custom":
@@ -133,16 +136,18 @@ class EntryDistribution:
         return np.array(bounds, dtype=np.uint64)
 
     def sample_array(self, gen: np.random.Generator, count: int) -> np.ndarray:
-        """Vectorized i.i.d. draws as an int64 array."""
+        """`count` i.i.d. draws as one array: int16 for the uniform law with
+        m < _NARROW_M, int64 otherwise (wider uniform laws, custom pmfs)."""
         if self.kind == "uniform_symmetric":
-            return gen.integers(-self.m, self.m, size=count, dtype=np.int64, endpoint=True)
+            dtype = np.int16 if self.m < _NARROW_M else np.int64
+            return gen.integers(-self.m, self.m, size=count, dtype=dtype, endpoint=True)
         r = raw_u64(gen, count)
         idx = np.searchsorted(self._thresholds(), r, side="right")
         return np.asarray(self.support, dtype=np.int64)[idx]
 
 
 def sample_batches(dist: EntryDistribution, gen: np.random.Generator, items: int, size: int):
-    """Yield (take, size) int64 draws of `items` items of `size` entries each.
+    """Yield (take, size) draws of `items` items of `size` entries each.
 
     Each sub-batch holds whole items and at most _DRAW_BATCH entries (an item
     larger than that is drawn alone), consumed from gen in order.

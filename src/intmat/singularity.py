@@ -8,6 +8,7 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from operator import mul
 from statistics import NormalDist
 
@@ -88,6 +89,23 @@ def _shard_sizes(trials: int) -> list[int]:
     return sizes
 
 
+def map_shards(count_shard, trials: int, threads: int) -> list[int]:
+    """[count_shard(i, size) for each shard i of `trials`], in shard order.
+
+    Shards hold SHARD_TRIALS trials each (the last one the rest). With more
+    than one thread they run on a pool of at most `threads` workers; the
+    result does not depend on the thread count.
+    """
+    if threads < 1:
+        raise DomainError("threads must be >= 1")
+    sizes = _shard_sizes(trials)
+    workers = min(threads, len(sizes))
+    if workers == 1:
+        return [count_shard(i, size) for i, size in enumerate(sizes)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(count_shard, range(len(sizes)), sizes))
+
+
 def _count_singular(mats: np.ndarray, fits: bool) -> int:
     """Number of singular matrices in a (B, n, n) batch.
 
@@ -125,18 +143,8 @@ def mc_singularity(
         raise DomainError("trials must be >= 1")
     if n < 1:
         raise DomainError("n must be >= 1")
-    if threads < 1:
-        raise DomainError("threads must be >= 1")
     start = time.perf_counter()
-    sizes = _shard_sizes(trials)
-    if threads == 1:
-        counts = [_singular_count(n, dist, seed, i, c) for i, c in enumerate(sizes)]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            counts = list(
-                pool.map(lambda ic: _singular_count(n, dist, seed, ic[0], ic[1]), enumerate(sizes))
-            )
-    hits = sum(counts)
+    hits = sum(map_shards(partial(_singular_count, n, dist, seed), trials, threads))
     elapsed = time.perf_counter() - start
     m = dist.m if dist.kind == "uniform_symmetric" else None
     return EstimateReport.from_counts(trials, hits, seed, n, m, elapsed)

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -348,6 +349,29 @@ def test_threads_env_fallback(capsys, monkeypatch):
     monkeypatch.setenv("INTMAT_THREADS", "0")
     code, _, err = run(capsys, argv)
     assert code == 1
+
+
+def test_threads_default_to_usable_cpus(monkeypatch):
+    monkeypatch.delenv("INTMAT_THREADS", raising=False)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    assert cli._resolve_threads(argparse.Namespace(threads=None)) == 3
+    assert cli._resolve_threads(argparse.Namespace(threads=2)) == 2
+    monkeypatch.setenv("INTMAT_THREADS", "1")
+    assert cli._resolve_threads(argparse.Namespace(threads=None)) == 1
+    # without an affinity call, the CPU count
+    monkeypatch.delenv("INTMAT_THREADS")
+    monkeypatch.delattr(cli.os, "sched_getaffinity")
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    assert cli._resolve_threads(argparse.Namespace(threads=None)) == 3
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert cli._resolve_threads(argparse.Namespace(threads=None)) == 1
+
+
+def test_smallball_threads_zero_exit_1(capsys):
+    code, out, err = run(capsys, ["smallball", "--n", "5", "--m", "2", "--eps", "0.1",
+                                  "--trials", "1000", "--seed", "1", "--threads", "0"])
+    assert code == 1 and out == ""
+    assert err == "intmat: threads must be >= 1\n"
 
 
 # Golden normal vectors: SHA-256 prefixes of `normal-vector` stdout. The

@@ -113,18 +113,48 @@ def test_draws_come_in_bounded_sub_batches(monkeypatch):
 
 
 def test_sub_batch_size_does_not_change_the_draws(monkeypatch):
-    # Philox keeps the spare 32-bit half of a word between calls, so odd-sized
-    # sub-batches concatenate to the one-call draw
-    dist = EntryDistribution.uniform_symmetric(3)
+    # int64 and custom-pmf draws concatenate across calls (Philox keeps the
+    # spare 32-bit half of a word between calls), so odd-sized sub-batches
+    # give the one-call draw; int16 draws do not (see the narrow golden)
+    wide = {name: GOLDEN_DRAWS[name] for name in ("uniform_m2_62", "custom_pmf")}
+    wide["uniform_narrow_m"] = (
+        EntryDistribution.uniform_symmetric(sampling._NARROW_M), Seed(105), None
+    )
+    dist = wide["custom_pmf"][0]
     report = mc_singularity(3, dist, 5000, Seed(4))
     monkeypatch.setattr(sampling, "_DRAW_BATCH", 50)
     assert mc_singularity(3, dist, 5000, Seed(4)).hits == report.hits
     monkeypatch.setattr(sampling, "_DRAW_BATCH", 7)
-    for dist, seed, _ in GOLDEN_DRAWS.values():
+    for dist, seed, _ in wide.values():
         whole = dist.sample_array(generator(seed), 4095)
+        assert whole.dtype == np.int64
         batches = list(sample_batches(dist, generator(seed), 4095, 1))
         assert len(batches) == 585
         assert np.array_equal(np.concatenate(batches).ravel(), whole)
+
+
+def test_narrow_draws_are_int16_below_the_stream_constant():
+    for m in (0, 1, 16, sampling._NARROW_M - 1):
+        draws = EntryDistribution.uniform_symmetric(m).sample_array(generator(Seed(6)), 1000)
+        assert draws.dtype == np.int16
+        assert draws.min() >= -m and draws.max() <= m
+    assert EntryDistribution.uniform_symmetric(sampling._NARROW_M).sample_array(
+        generator(Seed(6)), 10
+    ).dtype == np.int64
+
+
+def test_raw_u64_gives_the_full_range_words():
+    # twin generators, raw words interleaved with bounded draws of both widths
+    a, b = generator(Seed(5, 3), shard=2), generator(Seed(5, 3), shard=2)
+    for k in range(1, 12):
+        assert np.array_equal(
+            raw_u64(a, 3 * k), b.integers(0, 2**64, size=3 * k, dtype=np.uint64)
+        )
+        for dtype in (np.int16, np.int64):
+            assert np.array_equal(
+                a.integers(-3, 3, size=k, dtype=dtype, endpoint=True),
+                b.integers(-3, 3, size=k, dtype=dtype, endpoint=True),
+            )
 
 
 def test_empirical_mean_within_4_sigma():
@@ -221,7 +251,7 @@ def test_seed_validation():
 # promise to keep stable across versions) changes one of these. A stream
 # change bumps sampling.STREAM_VERSION and replaces the hashes together.
 GOLDEN_DRAWS = {  # first 4096 draws: (distribution, seed, hash)
-    "uniform_m2": (EntryDistribution.uniform_symmetric(2), Seed(101), "930e8f17447b7cbd"),
+    "uniform_m2": (EntryDistribution.uniform_symmetric(2), Seed(101), "d91a3c6070430d50"),
     "uniform_m2_62": (EntryDistribution.uniform_symmetric(2**62), Seed(102), "d6fc9f5b2753682c"),
     "custom_pmf": (
         EntryDistribution.custom([-3, 0, 1, 5], [Fraction(1, 7), Fraction(3, 7),
@@ -230,12 +260,17 @@ GOLDEN_DRAWS = {  # first 4096 draws: (distribution, seed, hash)
         "416f54a4753cb3eb",
     ),
 }
-GOLDEN_ESTIMATE = "743b67808c0be3a6"
+# 300,000 items of 9 int16 entries: three sub-batches, so the schedule is pinned
+GOLDEN_NARROW_BATCHES = "bf2a5b756051b6fa"
+GOLDEN_ESTIMATE = "ef9ba4f298dca8dd"
 GOLDEN_CLI = {
-    "smallball": "ec76f3bcd8e7b104",
-    "mds_generate": "e3de17a99c4c0adf",
+    "smallball": "e0f2047314c3f731",
+    "mds_generate": "b91f9e3e46ff0e7a",
 }
+GOLDEN_SMALLBALL_SHARDS = "79c14d4da401bf9d"
 GOLDEN_ESTIMATE_ARGV = ["estimate", "--n", "3", "--m", "2", "--trials", "70000", "--seed", "7", "--json"]
+GOLDEN_SMALLBALL_SHARDS_ARGV = ["smallball", "--n", "12", "--m", "3", "--eps", "0.2",
+                                "--trials", "70000", "--seed", "9", "--json"]
 GOLDEN_CLI_ARGV = {
     "smallball": ["smallball", "--n", "12", "--m", "3", "--eps", "0.2", "--trials", "20000",
                   "--seed", "9", "--json"],
@@ -248,8 +283,8 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
 
-def test_golden_hashes_pin_stream_version_2():
-    assert sampling.STREAM_VERSION == 2
+def test_golden_hashes_pin_stream_version_3():
+    assert sampling.STREAM_VERSION == 3
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_DRAWS))
@@ -257,6 +292,19 @@ def test_golden_sample_array(name):
     dist, seed, digest = GOLDEN_DRAWS[name]
     draws = dist.sample_array(generator(seed), 4096)
     assert _digest(draws.astype("<i8").tobytes()) == digest
+
+
+def test_golden_narrow_sub_batches():
+    dist = EntryDistribution.uniform_symmetric(3)
+    batches = list(sample_batches(dist, generator(Seed(104)), 300_000, 9))
+    assert [b.shape[0] for b in batches] == [116_508, 116_508, 66_984]
+    draws = np.concatenate(batches).ravel()
+    assert _digest(draws.astype("<i8").tobytes()) == GOLDEN_NARROW_BATCHES
+    # the first sub-batch is the one-call draw's prefix; the next ones are not
+    whole = dist.sample_array(generator(Seed(104)), draws.size)
+    first = batches[0].size
+    assert np.array_equal(draws[:first], whole[:first])
+    assert not np.array_equal(draws[first:], whole[first:])
 
 
 @pytest.mark.parametrize("threads", ["1", "2", "8"])
@@ -270,3 +318,11 @@ def test_golden_estimate_stdout(capsys, threads):
 def test_golden_cli_stdout(capsys, name):
     assert main(GOLDEN_CLI_ARGV[name]) == 0
     assert _digest(capsys.readouterr().out.encode()) == GOLDEN_CLI[name]
+
+
+@pytest.mark.parametrize("threads", [None, "1", "2", "8"])
+def test_golden_smallball_stdout_across_threads(capsys, threads):
+    # 70000 trials span three shards; no flag takes the usable CPU count
+    extra = [] if threads is None else ["--threads", threads]
+    assert main(GOLDEN_SMALLBALL_SHARDS_ARGV + extra) == 0
+    assert _digest(capsys.readouterr().out.encode()) == GOLDEN_SMALLBALL_SHARDS

@@ -15,14 +15,18 @@ scaling the partial solution instead of dividing.
 
 `det_batch` gives exact int64 determinants of a whole batch at once for the
 Monte Carlo hot path: a division-free expansion over column subsets
-(`leading_minors`) for n <= 8, batch Bareiss above. Callers use it only
-when `batch_det_fits_int64` holds, and fall back to the scalar big-integer
+(`leading_minors`) for n <= 8, run in lanes of at most _LANE matrices, in
+int32 when the expansion's bound allows it for the batch's largest entry
+and in int64 otherwise; batch Bareiss above. Callers use it only when
+`batch_det_fits_int64` holds, and fall back to the scalar big-integer
 routine otherwise. Exact enumeration stops the same expansion one level
 early, for the maximal minors of a batch of (n-1) x n row stacks.
 
-`maximal_minors` gives every k x k minor of one k x n matrix (the MDS
-check) by the same expansion, one level of column subsets at a time, in
-int64 when the expansion's bound allows and in Python integers otherwise.
+`maximal_minors` gives every k x k minor of one k x n matrix modulo the
+prime _FILTER_PRIME (the MDS check) by the same expansion, one level of
+column subsets at a time, in int64. A nonzero residue proves a minor
+nonzero; a zero residue proves nothing, and the caller confirms it with the
+exact `det`.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, combinations
 from math import comb, gcd, prod
 from operator import mul
 
@@ -38,20 +41,27 @@ import numpy as np
 
 from .errors import DimensionError
 
-# Primes of the former mod-p nonsingularity prefilter. Nothing here uses
-# them; `mds` keeps importing them, with `det_mod`, while the benchmark
-# tracer (perfbench/tracing.py) still wraps `intmat.mds.det_mod`.
-_FILTER_PRIMES = ((1 << 61) - 1, 10**18 + 9)
+# The prime of the MDS filter (`maximal_minors`), 2**29 - 3. A level of the
+# expansion sums at most k products of two residues, each below p**2 < 2**58,
+# so k * p**2 < 2**63 for every k up to 32 (`maximal_minors` checks it), and
+# `is_mds` expands only for k <= 18: int64 never wraps.
+_FILTER_PRIME = (1 << 29) - 3
 
 # Largest n that det_batch expands over column subsets. The expansion costs
 # n * 2**(n-1) vector multiply-adds; batch Bareiss costs ~n**3/3 lane
 # updates, but each of its n-1 steps also pays for a pivot search, row
-# swaps, dead-lane bookkeeping and an int64 floor division. On a 2-vCPU
-# Xeon the expansion takes 1.8 us per matrix at n = 8 against 4.2 us, and
-# 9.6 us at n = 10 against 8.4 us. Its working set is also exponential:
-# level k holds C(n, k) vectors, and at n = 8 the two widest levels hold
-# 126 B-vectors, about twice the (64, B) input; at n = 10, 462 (4.6x).
+# swaps, dead-lane bookkeeping and an int64 floor division. Its working set
+# is exponential: the two widest levels hold 126 B-vectors at n = 8 and 462
+# at n = 10, so it runs in lanes of _LANE matrices. On a 2-vCPU Xeon, in
+# int64 lanes, it takes 1.5 us per matrix at n = 8 against 4.2 us for batch
+# Bareiss, and 7.7 us at n = 10 against 9.1 us; n >= 9 stays on batch
+# Bareiss, under its own int64 guard.
 _EXPANSION_MAX_N = 8
+
+# Matrices per det_batch lane: the widest level at n = 8, 70 vectors of
+# 8,192 lanes, takes 4.4 MiB in int64 and 2.2 MiB in int32; a whole
+# 2**20-entry sub-batch from sampling is 8 MiB in int64 before any level.
+_LANE = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -387,11 +397,11 @@ def _cramer_kernel(m: IntMatrix) -> list[int] | None:
     return y
 
 
-def _expansion_fits_int64(n: int, max_abs: int) -> bool:
-    """n * m * (m * sqrt(n-1))**(n-1) < 2**63 for m = max_abs, squared to stay
-    in integers: the bound on every intermediate of the minor expansion up to
-    n rows (see `det_batch`), which grows with n."""
-    return (n * max_abs) ** 2 * (max_abs * max_abs * (n - 1)) ** (n - 1) < 1 << 126
+def _expansion_fits(n: int, max_abs: int, bits: int = 63) -> bool:
+    """n * m * (m * sqrt(n-1))**(n-1) < 2**bits for m = max_abs, squared to
+    stay in integers: the bound on every intermediate of the minor expansion
+    up to n rows (see `det_batch`), which grows with n."""
+    return (n * max_abs) ** 2 * (max_abs * max_abs * (n - 1)) ** (n - 1) < 1 << (2 * bits)
 
 
 def batch_det_fits_int64(n: int, max_abs: int) -> bool:
@@ -404,7 +414,7 @@ def batch_det_fits_int64(n: int, max_abs: int) -> bool:
     Hadamard-bounded (n-1)-minors, which is what a Bareiss update forms.
     """
     if n <= _EXPANSION_MAX_N:
-        return _expansion_fits_int64(n, max_abs)
+        return _expansion_fits(n, max_abs)
     b = max_abs * max_abs * (n - 1)
     return 2 * b ** (n - 1) < (1 << 63)
 
@@ -419,40 +429,51 @@ def _minor_plan(n: int, r: int) -> tuple[np.ndarray, np.ndarray]:
     Both are read-only (r+1, C(n, r+1)) arrays, cached and shared.
     """
     count = comb(n, r + 1)
-    flat = chain.from_iterable(combinations(range(n), r + 1))
-    sets = np.fromiter(flat, dtype=np.intp, count=count * (r + 1)).reshape(count, r + 1)
-    # The lexicographic rank of an r-subset c of range(n) is
-    # C(n, r) - 1 - sum_j C(n-1-c_j, r-j). Dropping S_t leaves S_i at
-    # position j = i for i < t and j = i - 1 for i > t.
-    binom = np.array([[comb(x, y) for y in range(r + 2)] for x in range(n)], dtype=np.intp)
-    cols = np.ascontiguousarray(sets.T)
-    del sets
+    cols = np.empty((r + 1, count), dtype=np.intp)
     sub = np.empty_like(cols)
-    before = np.zeros(count, dtype=np.intp)
-    after = sum(binom[n - 1 - cols[t], r + 1 - t] for t in range(r + 1))
-    for t in range(r + 1):
-        after -= binom[n - 1 - cols[t], r + 1 - t]  # S_t's weight at position t - 1
-        sub[t] = comb(n, r) - 1 - before - after
-        before += binom[n - 1 - cols[t], r - t]  # S_t's weight at position t
+    if r == 0:
+        cols[0] = np.arange(n)
+        sub[0] = 0
+    else:
+        # Each r-subset g, in order, followed by every larger column c in
+        # turn: the (r+1)-subsets in lexicographic order, g + {c} at position
+        # off[g] + c. Dropping c leaves g; dropping S_t for t < r leaves the
+        # (r-1)-subset q = g without S_t, followed by c, at prev_off[q] + c.
+        prev_cols, prev_sub = _minor_plan(n, r - 1)
+        last = prev_cols[-1]
+        reps = n - 1 - last
+        off = np.cumsum(reps) - reps - last - 1
+        g = np.repeat(np.arange(last.size), reps)
+        cols[:r] = np.take(prev_cols, g, axis=1)
+        cols[r] = np.arange(count) - off[g]
+        prev_off = np.empty(comb(n, r - 1), dtype=np.intp)
+        prev_off[prev_sub[-1]] = np.arange(last.size) - last
+        sub[:r] = prev_off[np.take(prev_sub, g, axis=1)] + cols[r]
+        sub[r] = g
     cols.flags.writeable = sub.flags.writeable = False
     return cols, sub
 
 
 def maximal_minors(m: IntMatrix) -> np.ndarray:
-    """All k x k minors of a k x n matrix, in `itertools.combinations` order.
+    """All k x k minors of a k x n matrix modulo _FILTER_PRIME, in
+    `itertools.combinations` order, as int64 residues in [0, p).
 
     Level r holds the minors of the first r rows on every r-subset of
     columns; level r+1 follows by Laplace expansion along row r
     (`_minor_plan`), vectorized over the level: about sum_r r * C(n, r)
-    multiply-adds, with max_r C(n, r) minors held at once. int64 when the
-    expansion bound proves every intermediate exact, else Python ints.
+    multiply-adds, with max_r C(n, r) minors held at once. The entries are
+    reduced modulo p first and every level once, so a level sums at most k
+    products below p**2, whatever the size of the entries. A residue is
+    zero when the minor is, and for about 1 in p nonzero minors.
     """
     k, n = m.rows, m.cols
     if k > n:
         raise DimensionError(f"maximal minors need k <= n, got {k}x{n}")
-    dtype = np.int64 if _expansion_fits_int64(k, m.max_abs()) else object
-    a = np.array(m.to_lists(), dtype=dtype)
-    minors = np.ones(1, dtype=dtype)
+    p = _FILTER_PRIME
+    if k * p * p >= 1 << 63:
+        raise DimensionError(f"a level of {k} residue products would overflow int64")
+    a = np.array([[v % p for v in m.row(i)] for i in range(k)], dtype=np.int64)
+    minors = np.ones(1, dtype=np.int64)
     for r in range(k):
         cols, sub = _minor_plan(n, r)
         row = -a[r] if r % 2 else a[r]  # folds (-1)**r into the row
@@ -463,7 +484,7 @@ def maximal_minors(m: IntMatrix) -> np.ndarray:
                 acc -= term
             else:
                 acc += term
-        minors = acc
+        minors = acc % p
     return minors
 
 
@@ -480,8 +501,9 @@ def leading_minors(a: np.ndarray, k: int) -> list[np.ndarray]:
     with no pivoting, no row swaps and no division; the subsets and their
     sub-subsets come from `_minor_plan`. Every intermediate is a minor of
     the input or a partial Laplace sum, bounded by (r+1) * m * (m * sqrt(r))**r
-    for entries |a| <= m, so int64 is exact when `_expansion_fits_int64(k, m)`
-    holds; a dtype=object batch computes in Python integers.
+    for entries |a| <= m, so int64 is exact when `_expansion_fits(k, m)`
+    holds and int32 when `_expansion_fits(k, m, 31)` does; a dtype=object
+    batch computes in Python integers.
     """
     minors = list(a[0])
     for r in range(1, k):
@@ -511,7 +533,11 @@ def det_batch(mats: np.ndarray) -> np.ndarray:
     `leading_minors`, run to its last level: n * 2**(n-1) vector
     multiply-adds in all. Its intermediates grow with the level, and
     `batch_det_fits_int64` keeps them below 2**63 at level n-1, so int64
-    never wraps.
+    never wraps. It runs on equal lanes of at most _LANE matrices, whose
+    levels stay small enough to be reused from cache, in int32 when the
+    bound holds below 2**31 for the batch's own largest |entry| (m <= 4 at
+    n = 8, 13 at n = 6, 100 at n = 4) and in int64 otherwise; the result is
+    int64 either way.
 
     Larger n runs batch Bareiss, whose cost grows as n**3 rather than 2**n.
     Row swaps and all-zero pivot columns (singular) are handled per
@@ -521,8 +547,15 @@ def det_batch(mats: np.ndarray) -> np.ndarray:
     if n != n2:
         raise DimensionError("batch of square matrices required")
     if n <= _EXPANSION_MAX_N:
-        a = np.array(mats.transpose(1, 2, 0), dtype=np.int64, order="C")
-        return leading_minors(a, n)[0]
+        top = max(int(mats.max()), -int(mats.min())) if b else 0
+        dtype = np.int32 if _expansion_fits(n, top, 31) else np.int64
+        out = np.empty(b, dtype=np.int64)
+        lanes = -(-b // _LANE)
+        for i in range(lanes):
+            s, e = b * i // lanes, b * (i + 1) // lanes
+            a = np.array(mats[s:e].transpose(1, 2, 0), dtype=dtype, order="C")
+            out[s:e] = leading_minors(a, n)[0]
+        return out
     a = mats.astype(np.int64, copy=True)
     sign = np.ones(b, dtype=np.int64)
     dead = np.zeros(b, dtype=bool)

@@ -13,14 +13,16 @@ from .errors import BudgetExceededError, DimensionError, DomainError, Generation
 from .linalg import IntMatrix, det, maximal_minors
 # Uncalled: perfbench/tracing.py wraps intmat.mds.det_mod, so the name stays
 # until the tracer reads run statistics instead of private names.
-from .linalg import det_mod, _FILTER_PRIMES  # noqa: F401
+from .linalg import det_mod  # noqa: F401
 from .sampling import EntryDistribution, Seed, generator
 
 # Most minors `is_mds` holds at once: one level of maximal_minors, max_r
 # C(n, r) minors (12,870 for 8 x 16; 10 x 30 would need C(30, 10), about
 # 3 * 10**7). Its cached index plans take 16 bytes per (subset, row) pair on
-# top. The widest shape within 2**16, 9 x 18 at |a| <= 2**20, takes 0.3 s and
-# 36 MiB of peak RSS on a 2-vCPU Xeon; 10 x 20 (2**17.5 minors) took 137 MiB.
+# top. The widest shape within 2**16, 9 x 18 at |a| <= 2**20, takes 0.05 s in
+# a fresh interpreter (7 ms once its plans are cached) and peaks at 66 MiB of
+# RSS, 33 MiB of it the import, on a 2-vCPU Xeon; 10 x 20 (2**17.5 minors)
+# would take 0.2 s and 155 MiB.
 MINOR_BUDGET = 1 << 16
 
 
@@ -52,14 +54,17 @@ class GenerationReport:
 def is_mds(m: IntMatrix) -> MdsVerdict:
     """Check that every k x k minor of the k x n matrix is nonsingular.
 
-    Computes all C(n, k) minors exactly (`maximal_minors`). The witness is
-    the lexicographically first singular column set, and minors_checked its
-    1-based position, or C(n, k) when there is none. A negative verdict is
-    confirmed by the scalar Bareiss `det` of the witness columns. When a
-    level of the expansion would hold more than MINOR_BUDGET minors but
-    C(n, k) does not exceed it, each minor is the scalar `det` instead, in
-    the same order. Raises BudgetExceededError before allocating when both
-    exceed MINOR_BUDGET.
+    Computes all C(n, k) minors modulo one prime (`maximal_minors`); a
+    nonzero residue proves its minor nonzero. Each residue-zero minor is a
+    candidate, confirmed in `combinations` order by the scalar Bareiss
+    `det`, and the first confirmed zero is the witness: the
+    lexicographically first singular column set, with minors_checked its
+    1-based position, or C(n, k) when there is none. A nonzero minor that
+    the prime divides costs one `det` and is skipped. When a level of the
+    expansion would hold more than MINOR_BUDGET minors but C(n, k) does not
+    exceed it, each minor is the scalar `det` instead, in the same order.
+    Raises BudgetExceededError before allocating when both exceed
+    MINOR_BUDGET.
     """
     k, n = m.rows, m.cols
     if k > n:
@@ -80,15 +85,15 @@ def is_mds(m: IntMatrix) -> MdsVerdict:
             if det(m.submatrix_columns(cols)) == 0:
                 return MdsVerdict(is_mds=False, witness=cols, minors_checked=checked)
         return MdsVerdict(is_mds=True, witness=None, minors_checked=total)
-    minors = maximal_minors(m)
-    zeros = np.flatnonzero(minors == 0)
-    if zeros.size == 0:
-        return MdsVerdict(is_mds=True, witness=None, minors_checked=minors.size)
-    first = int(zeros[0])
-    witness = next(islice(combinations(range(n), k), first, None))
-    if det(m.submatrix_columns(witness)) != 0:
-        raise RuntimeError(f"minor expansion and Bareiss disagree on columns {witness}")
-    return MdsVerdict(is_mds=False, witness=witness, minors_checked=first + 1)
+    residues = maximal_minors(m)
+    subsets = combinations(range(n), k)
+    seen = 0
+    for pos in np.flatnonzero(residues == 0).tolist():
+        cols = next(islice(subsets, pos - seen, None))
+        seen = pos + 1
+        if det(m.submatrix_columns(cols)) == 0:
+            return MdsVerdict(is_mds=False, witness=cols, minors_checked=seen)
+    return MdsVerdict(is_mds=True, witness=None, minors_checked=residues.size)
 
 
 def generate_mds(

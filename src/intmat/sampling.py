@@ -9,12 +9,14 @@ Stream version 3 (STREAM_VERSION): uniform {-m, ..., m} entries are numpy's
 bounded integers (Lemire's multiply-shift rejection, exactly uniform) on
 the keyed Philox stream, drawn and returned as int16 when m < _NARROW_M =
 2**11 and as int64 above; custom pmfs map raw 64-bit words through an
-exact cumulative table. Callers that draw many matrices or rows draw them
-in sub-batches of whole items, at most _DRAW_BATCH entries each
-(sample_batches). numpy keeps no spare 16-bit draws between calls, so for
-the int16 laws that sub-batch schedule is part of the stream; int64 and
-custom-pmf draws still concatenate across calls (Philox keeps the spare
-32-bit half of a word in its own state), and the tests check both.
+exact cumulative table, read from a 2**16-bucket table indexed by a word's
+top 16 bits and searched only in the buckets that hold a threshold.
+Callers that draw many matrices or rows draw them in sub-batches of whole
+items, at most _DRAW_BATCH entries each (sample_batches). numpy keeps no
+spare 16-bit draws between calls, so for the int16 laws that sub-batch
+schedule is part of the stream; int64 and custom-pmf draws still
+concatenate across calls (Philox keeps the spare 32-bit half of a word in
+its own state), and the tests check both.
 tests/test_sampling.py pins the stream with golden hashes; numpy does not
 promise stable Generator streams across versions (NEP 19), so a numpy
 upgrade can fail that test.
@@ -22,8 +24,10 @@ upgrade can fail that test.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -35,6 +39,10 @@ _DRAW_BATCH = 1 << 20  # entries per sub-batch; part of the stream for int16 dra
 _NARROW_M = 1 << 11  # uniform laws with m below it draw int16 (part of the stream)
 _U64 = 1 << 64
 _INT64_LIMIT = 1 << 63
+# A custom-pmf word's top 16 bits pick its bucket in the decode table: the
+# fourth or the first uint16 of the word, by the machine's byte order.
+_BUCKETS = 1 << 16
+_TOP_HALFWORD = 3 if sys.byteorder == "little" else 0
 
 
 @dataclass(frozen=True)
@@ -127,11 +135,15 @@ class EntryDistribution:
         return max(abs(v) for v in self.support)
 
     def _thresholds(self) -> np.ndarray:
-        # cumulative pmf scaled to a 2**64 grid; per-draw bias <= 2**-64
+        # cumulative pmf scaled to a 2**64 grid; per-draw bias <= 2**-64.
+        # Once the sum reaches 1 (zero-mass points at the end) the bound is
+        # 2**64, above every word, so it is left out.
         cum = Fraction(0)
         bounds = []
         for p in self.pmf[:-1]:
             cum += p
+            if cum == 1:
+                break
             bounds.append((cum.numerator * _U64) // cum.denominator)
         return np.array(bounds, dtype=np.uint64)
 
@@ -141,9 +153,39 @@ class EntryDistribution:
         if self.kind == "uniform_symmetric":
             dtype = np.int16 if self.m < _NARROW_M else np.int64
             return gen.integers(-self.m, self.m, size=count, dtype=dtype, endpoint=True)
-        r = raw_u64(gen, count)
-        idx = np.searchsorted(self._thresholds(), r, side="right")
-        return np.asarray(self.support, dtype=np.int64)[idx]
+        return self._decode(raw_u64(gen, count))
+
+    def _decode(self, words: np.ndarray) -> np.ndarray:
+        """Support values of raw 64-bit words: value i for the words from
+        threshold i-1 up to threshold i, as `np.searchsorted(thresholds,
+        words, side="right")` picks it. A word whose bucket holds no
+        threshold reads its value from the bucket table; the few others
+        take the search."""
+        thresholds, support, values, mixed = _decode_table(self)
+        buckets = words.view(np.uint16)[_TOP_HALFWORD::4]
+        out = values[buckets]
+        if mixed is not None:
+            odd = np.flatnonzero(mixed[buckets])
+            out[odd] = support[np.searchsorted(thresholds, words[odd], side="right")]
+        return out
+
+
+@lru_cache(maxsize=16)
+def _decode_table(dist: EntryDistribution):
+    """(thresholds, support, values, mixed) for `EntryDistribution._decode`.
+
+    Bucket b holds the words b * 2**48 .. (b+1) * 2**48 - 1; values[b] is the
+    support value of its first word, and mixed[b] is True when a threshold
+    lies above that word and within the bucket, so that the value changes
+    inside it. mixed is None when no bucket is mixed.
+    """
+    thresholds = dist._thresholds()
+    support = np.asarray(dist.support, dtype=np.int64)
+    first = np.arange(_BUCKETS, dtype=np.uint64) << np.uint64(48)
+    lo = np.searchsorted(thresholds, first, side="right")
+    hi = np.searchsorted(thresholds, first | np.uint64((1 << 48) - 1), side="right")
+    mixed = lo != hi
+    return thresholds, support, support[lo], mixed if mixed.any() else None
 
 
 def sample_batches(dist: EntryDistribution, gen: np.random.Generator, items: int, size: int):

@@ -255,6 +255,7 @@ def test_batch_det_overflow_guard():
 
 
 INT64_MAX = (1 << 63) - 1
+P = linalg._FILTER_PRIME
 
 
 def largest_fitting_m(n):
@@ -344,7 +345,7 @@ def test_expansion_guard_admits_the_exact_workload_alphabets():
 
 @st.composite
 def wide_matrices(draw):
-    """k x n matrices in both of maximal_minors' dtypes, some with planted zero minors."""
+    """k x n matrices on both sides of the int64 expansion bound, some with planted zero minors."""
     k = draw(st.integers(1, 5))
     n = draw(st.integers(k, 9))
     limit = largest_fitting_m(k)
@@ -363,12 +364,10 @@ def test_maximal_minors_match_scalar_det(case):
     plant, m = case
     k, n = m.rows, m.cols
     got = maximal_minors(m)
-    fits = batch_det_fits_int64(k, m.max_abs())
-    assert got.dtype == (np.int64 if fits else object)
     subsets = list(combinations(range(n), k))
     assert got.shape == (len(subsets),)
     for value, cols in zip(got, subsets):
-        assert int(value) == det(m.submatrix_columns(cols)), cols
+        assert int(value) == det(m.submatrix_columns(cols)) % P, cols
     if plant == "repeat" and k >= 2 or plant == "sum" and k >= 3:
         assert (got == 0).any()
 
@@ -384,9 +383,81 @@ def test_maximal_minors_int64_at_the_guard(k):
         a[:, :k] = m * sylvester_hadamard(k)
     mat = IntMatrix.from_rows(a.tolist())
     got = maximal_minors(mat)
-    assert got.dtype == np.int64
     for value, cols in zip(got, combinations(range(k + 3), k)):
-        assert int(value) == det(mat.submatrix_columns(cols)), cols
+        assert int(value) == det(mat.submatrix_columns(cols)) % P, cols
+
+
+def record_lane_dtypes(monkeypatch) -> list:
+    """The dtype of every lane det_batch expands, in order."""
+    dtypes = []
+    expand = linalg.leading_minors
+    monkeypatch.setattr(linalg, "leading_minors", lambda a, k: dtypes.append(a.dtype) or expand(a, k))
+    return dtypes
+
+
+@pytest.mark.parametrize(
+    "n, edge", [(1, 2**31 - 1), (2, 32_767), (3, 710), (4, 100), (5, 30), (6, 13), (7, 7), (8, 4)]
+)
+def test_batch_det_int32_lanes_at_the_edge(n, edge, monkeypatch):
+    # the expansion runs in int32 up to the largest m whose bound stays below
+    # 2**31, and in int64 one past it; all-+-m batches and, for n a power of
+    # two, m times a Hadamard matrix (the largest det of all +-m matrices)
+    dtypes = record_lane_dtypes(monkeypatch)
+    rng = np.random.default_rng(400 + n)
+    for m, dtype in ((edge, np.int32), (edge + 1, np.int64)):
+        mats = m * rng.choice(np.array([-1, 1]), size=(40, n, n))
+        if n & (n - 1) == 0:
+            mats[0] = m * sylvester_hadamard(n)
+        dtypes.clear()
+        assert_batch_matches_scalar(mats)
+        assert dtypes == [dtype]
+
+
+@pytest.mark.parametrize("b", [8_191, 8_192, 8_193, 16_385])
+def test_batch_det_lane_boundaries(b):
+    rng = np.random.default_rng(b)
+    mats = rng.integers(-3, 4, size=(b, 4, 4))
+    mats[-1, 3] = mats[-1, 0]  # a singular matrix in the last lane
+    assert_batch_matches_scalar(mats)
+
+
+def test_batch_det_takes_int16_batches():
+    rng = np.random.default_rng(401)
+    mats = rng.integers(-2047, 2048, size=(300, 3, 3)).astype(np.int16)
+    mats[:, :, 0] = -32768 * (rng.random((300, 3)) < 0.1)  # int16's lowest value
+    assert_batch_matches_scalar(mats)
+
+
+def test_batch_det_one_extreme_matrix_forces_int64(monkeypatch):
+    dtypes = record_lane_dtypes(monkeypatch)
+    rng = np.random.default_rng(402)
+    mats = rng.integers(-4, 5, size=(10_000, 8, 8))
+    assert_batch_matches_scalar(mats)
+    assert dtypes == [np.int32, np.int32]
+    mats[9_999] = 77 * sylvester_hadamard(8)  # the largest m batch_det_fits_int64 admits
+    dtypes.clear()
+    assert_batch_matches_scalar(mats)
+    assert dtypes == [np.int64, np.int64]
+
+
+def test_minor_plan_subsets_match_combinations():
+    for n in range(1, 19):
+        for r in range(n):
+            cols, sub = linalg._minor_plan(n, r)
+            subsets = list(combinations(range(n), r + 1))
+            assert np.array_equal(cols, np.array(subsets, dtype=np.intp).T), (n, r)
+            if n <= 12:  # each subset without its t-th column, by position
+                pos = {c: i for i, c in enumerate(combinations(range(n), r))}
+                want = [[pos[s[:t] + s[t + 1 :]] for s in subsets] for t in range(r + 1)]
+                assert np.array_equal(sub, np.array(want)), (n, r)
+
+
+def test_filter_prime_keeps_a_level_in_int64():
+    assert P == 536_870_909 and all(P % d for d in range(2, isqrt(P) + 1))
+    # is_mds expands only when C(n, min(k, n//2)) <= MINOR_BUDGET, so k <= 18
+    assert 18 * P * P < 2**63
+    with pytest.raises(DimensionError):  # refused before any level is built
+        maximal_minors(IntMatrix(33, 33, (1,) * 33 * 33))
 
 
 def test_intmatrix_validation():

@@ -3,10 +3,11 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from intmat import mds
 from intmat.errors import BudgetExceededError, DimensionError, DomainError, GenerationError
-from intmat.linalg import IntMatrix
+from intmat.linalg import _FILTER_PRIME as P, IntMatrix
 from intmat.mds import (
     MINOR_BUDGET,
     default_generation_m,
@@ -88,10 +89,60 @@ def test_negative_verdict_is_confirmed_by_one_scalar_det(monkeypatch):
     calls.clear()
     assert is_mds(vandermonde(3, 6)).is_mds
     assert calls == []
-    # a scalar det that disagrees with the expansion is an error, not a verdict
-    monkeypatch.setattr(mds, "det", lambda sub: 1)
-    with pytest.raises(RuntimeError):
-        is_mds(m)
+    # a candidate that det refutes is skipped: a zero residue is no verdict
+    monkeypatch.setattr(mds, "det", lambda sub: calls.append(sub) or 1)
+    assert is_mds(m) == mds.MdsVerdict(True, None, 4)
+    assert calls == [m.submatrix_columns((0, 1, 3)), m.submatrix_columns((1, 2, 3))]
+
+
+@st.composite
+def wide_mds_cases(draw):
+    """k x n matrices with entries above the int64 expansion bound (or all
+    multiples of the filter prime), some with a planted dependent column."""
+    k = draw(st.integers(1, 5))
+    n = draw(st.integers(k, 8))
+    scale = draw(st.sampled_from((1, P, P << 40)))
+    m = draw(st.integers(1, 2**70)) if scale == 1 else draw(st.integers(1, 5))
+    cols = [[scale * v for v in draw(st.lists(st.integers(-m, m), min_size=k, max_size=k))]
+            for _ in range(n)]
+    if n > 1 and draw(st.booleans()):
+        i, j, *rest = draw(st.permutations(range(n)))
+        cols[j] = cols[i] if not rest else [x - y for x, y in zip(cols[i], cols[rest[0]])]
+    return [list(r) for r in zip(*cols)]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(wide_mds_cases())
+def test_wide_entries_match_brute_oracle(rows):
+    verdict = is_mds(IntMatrix.from_rows(rows))
+    truth, witness = brute_is_mds(rows)
+    assert (verdict.is_mds, verdict.witness) == (truth, witness)
+    n, k = len(rows[0]), len(rows)
+    want = comb(n, k) if truth else list(combinations(range(n), k)).index(witness) + 1
+    assert verdict.minors_checked == want
+
+
+def test_multiples_of_the_prime_make_every_minor_a_candidate(monkeypatch):
+    det = mds.det
+    calls = []
+    monkeypatch.setattr(mds, "det", lambda sub: calls.append(sub) or det(sub))
+    rows = (P * vandermonde(3, 7).to_numpy().astype(object)).tolist()
+    assert is_mds(IntMatrix.from_rows(rows)) == mds.MdsVerdict(True, None, comb(7, 3))
+    assert len(calls) == comb(7, 3)
+    rows[2][6] = rows[2][5]
+    rows[0][6], rows[1][6] = rows[0][5], rows[1][5]  # columns 5 and 6 agree
+    calls.clear()
+    verdict = is_mds(IntMatrix.from_rows(rows))
+    assert (verdict.is_mds, verdict.witness) == brute_is_mds(rows)
+    assert len(calls) == verdict.minors_checked == list(combinations(range(7), 3)).index((0, 5, 6)) + 1
+
+
+def test_nonzero_minor_with_a_zero_residue_costs_one_det(monkeypatch):
+    det = mds.det
+    calls = []
+    monkeypatch.setattr(mds, "det", lambda sub: calls.append(sub) or det(sub))
+    assert is_mds(IntMatrix.from_rows([[P << 40, 1]])) == mds.MdsVerdict(True, None, 2)
+    assert len(calls) == 1
 
 
 def test_minor_budget_fails_before_allocating(monkeypatch):

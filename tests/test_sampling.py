@@ -1,3 +1,4 @@
+import bisect
 import hashlib
 import math
 from fractions import Fraction
@@ -206,6 +207,40 @@ def test_custom_sampling_frequencies():
         count = int((draws == value).sum())
         sigma = math.sqrt(100_000 * p * (1 - p))
         assert abs(count - 100_000 * p) <= 5 * sigma
+
+
+def _decode_laws():
+    tiny = Fraction(1, 2**60)
+    rng = np.random.default_rng(33)
+    weights = rng.integers(0, 1000, size=900).tolist()
+    return [
+        vempala_sum_distribution(Fraction(1, 2), 4),  # thresholds on bucket edges
+        # masses of 2**-60 put several thresholds in one bucket; zero masses
+        # repeat a threshold, and at the end reach 2**64
+        EntryDistribution.custom(
+            [-9, -3, 0, 1, 5, 7, 8, 9, 40],
+            [tiny, tiny, 0, Fraction(1, 3), 3 * tiny, 0, Fraction(2, 3) - 5 * tiny, 0, 0],
+        ),
+        EntryDistribution.custom([0, 1, 2], [Fraction(1, 2), Fraction(1, 2), 0]),
+        EntryDistribution.custom(range(900), [Fraction(w, sum(weights)) for w in weights]),
+    ]
+
+
+@pytest.mark.parametrize("dist", _decode_laws(), ids=["vempala", "tiny", "zero_tail", "wide"])
+def test_custom_decode_table_matches_the_cumulative_search(dist):
+    # oracle: value i for the words w with #{thresholds <= w} = i, in Python ints
+    bounds, cum = [], Fraction(0)
+    for p in dist.pmf[:-1]:
+        cum += p
+        bounds.append(cum.numerator * 2**64 // cum.denominator)
+    words = {0, 2**64 - 1}
+    for t in bounds:
+        words |= {t - 1, t, t + 1}
+    words = sorted(w for w in words if 0 <= w < 2**64)
+    words += raw_u64(generator(Seed(34)), 20_000).tolist()
+    got = dist._decode(np.array(words, dtype=np.uint64))
+    assert got.dtype == np.int64
+    assert got.tolist() == [dist.support[bisect.bisect_right(bounds, w)] for w in words]
 
 
 def test_vempala_m1_pmf():

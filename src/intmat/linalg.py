@@ -6,10 +6,9 @@ rational blow-up during the forward pass. Rank comes from the same
 fraction-free echelon form.
 
 `kernel_basis` has two exact paths. A (c-1) x c matrix of rank c-1 (the
-normal vector of c-1 rows) gets its Cramer vector by elimination modulo
-just enough 31-bit primes at once, as one int64 stack, and Chinese
-remaindering; an exact integer check that the vector is a kernel vector
-proves the result. Every other case, and any case that check or a prime
+normal vector of c-1 rows) is solved by p-adic lifting modulo one prime;
+an exact integer check that the vector is a kernel vector proves the
+result. Every other case, and any case that the prime or the check
 rejects, back-substitutes on the fraction-free echelon form in integers,
 scaling the partial solution instead of dividing.
 
@@ -34,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd, prod
+from math import comb, gcd, isqrt, prod
 from operator import mul
 
 import numpy as np
@@ -268,12 +267,12 @@ def kernel_basis(m: IntMatrix) -> list[RationalVector]:
 
     Each basis vector is canonical: integer entries with content 1 and a
     positive leading coordinate. Empty list iff m has full column rank.
-    A (c-1) x c matrix of rank c-1 takes the multimodular path
-    (`_cramer_kernel`); every other case, and any case that path cannot
+    A (c-1) x c matrix of rank c-1 modulo _LIFT_PRIME takes p-adic lifting
+    (`_lifted_kernel`); every other case, and any case that path cannot
     certify, takes the fraction-free back substitution below.
     """
     if m.cols == m.rows + 1:
-        x = _cramer_kernel(m)
+        x = _lifted_kernel(m)
         if x is not None:
             return [_canonical(x)]
     a, pivots = _echelon(m)
@@ -296,105 +295,105 @@ def kernel_basis(m: IntMatrix) -> list[RationalVector]:
     return basis
 
 
-# Distinct primes below 2**31, the largest ones, for `_cramer_kernel`:
-# residues stay below 2**31, so every product of two fits in int64. Their
-# product exceeds 2**990, twice the Hadamard bound of a 39 x 40 matrix with
-# entries up to 2**18.
-_CRT_PRIMES = (
-    2147483647, 2147483629, 2147483587, 2147483579, 2147483563, 2147483549,
-    2147483543, 2147483497, 2147483489, 2147483477, 2147483423, 2147483399,
-    2147483353, 2147483323, 2147483269, 2147483249, 2147483237, 2147483179,
-    2147483171, 2147483137, 2147483123, 2147483077, 2147483069, 2147483059,
-    2147483053, 2147483033, 2147483029, 2147482951, 2147482949, 2147482943,
-    2147482937, 2147482921,
-)
+# The prime of `_lifted_kernel`, the largest below 2**25: a lazily reduced
+# Gauss-Jordan entry (a residue minus at most r products of two residues)
+# and a lifting product C @ (res mod p) stay within r * p**2 < 2**63 for
+# every r up to 8,192.
+_LIFT_PRIME = 33554393
 
 
-@lru_cache(maxsize=None)
-def _crt_basis(count: int) -> tuple[int, list[int]]:
-    """(M, e) for the first `count` primes: M their product, and e_k = 1
-    modulo prime k and 0 modulo the others, so sum_k e_k * r_k is the
-    residue modulo M with residue r_k modulo prime k."""
-    primes = _CRT_PRIMES[:count]
-    modulus = prod(primes)
-    return modulus, [modulus // q * pow(modulus // q, -1, q) for q in primes]
+def _lifted_kernel(m: IntMatrix) -> list[int] | None:
+    """An integer kernel vector of a (c-1) x c matrix of rank c-1, by
+    Dixon's p-adic lifting (Numer. Math. 40, 1982) modulo one prime p.
 
-
-def _cramer_kernel(m: IntMatrix) -> list[int] | None:
-    """The Cramer vector x_j = (-1)**j * det(m without column j) of a
-    (c-1) x c matrix, by elimination modulo enough primes to exceed twice
-    its Hadamard bound (the product of the row norms) and Chinese
-    remaindering with symmetric residues (Abbott, Bronstein and Mulders,
-    ISSAC 1999). None when some prime sees rank below c-1, the primes
-    disagree on the pivot columns, the primes run out, or the exact check
-    fails.
-
-    A returned x proves itself: rank c-1 modulo a prime gives rank c-1
-    over Q, and m x = 0 with x != 0, checked in Python integers, then shows
-    that x spans the kernel.
+    One Gauss-Jordan pass on [m | I] modulo p finds the pivot columns B and
+    the free column b and leaves C = B^-1 mod p in the right half; each step
+    reduces only its pivot column and row. B y = -b is then lifted one
+    digit z = C @ (res mod p) mod p at a time, res <- (res - B @ z) / p,
+    until p**K exceeds 2 * H**2, H the Hadamard bound (the product of the
+    row norms), which bounds det B and every numerator of y. Rational
+    reconstruction with a running common denominator d gives x = (d*y, d).
+    B @ z runs in int64 while |m| * r * p < 2**62, else in Python integers.
+    None when the rank modulo p is below c-1 (about 1 in p of random
+    inputs; always when p divides every entry), or when reconstruction or
+    the exact check m x = 0 fails. A returned x proves itself: rank c-1
+    modulo p gives rank c-1 over Q, and m x = 0 with x_free = d != 0.
     """
     r, c = m.rows, m.cols
+    p = _LIFT_PRIME
+    if r * p * p >= 1 << 63:
+        return None
     rows = [m.row(i) for i in range(r)]
-    hadamard_sq = prod(sum(v * v for v in row) for row in rows)
-    count = 1
-    while prod(_CRT_PRIMES[:count]) ** 2 <= 4 * hadamard_sq:
-        if count == len(_CRT_PRIMES):
-            return None
-        count += 1
-    plist = _CRT_PRIMES[:count]
-    primes = np.array(plist, dtype=np.int64)
-    q2, q3 = primes[:, None], primes[:, None, None]
     try:
-        a = np.array(rows, dtype=np.int64)[None] % q3
+        a = np.array(rows, dtype=np.int64)
+        top = max(int(a.max()), -int(a.min()))
     except OverflowError:
-        a = (np.array(rows, dtype=object)[None] % q3).astype(np.int64)
-    # Row echelon form modulo every prime at once, pivots scaled to 1; det
-    # tracks det(m without the free column) modulo each prime.
-    det = np.ones(count, dtype=np.int64)
+        a, top = np.array(rows, dtype=object), None
+    # [m | I] stored transposed: a step's update is then one contiguous block
+    g = np.empty((c + r, r), dtype=np.int64)
+    g[:c] = a.T % p
+    g[c:] = np.eye(r, dtype=np.int64)
     pivot_cols = []
-    free = c - 1
     for col in range(c):
         k = len(pivot_cols)
         if k == r:
             break
-        piv = a[:, k, col]
-        if not piv.all():
-            nz = a[:, k:, col] != 0
-            has = nz.any(axis=1)
-            if not has.all():
-                if has.any() or k < col:
-                    return None  # the primes disagree, or a second free column
-                free = col
+        f = g[col] % p
+        if not f[k]:
+            nz = np.flatnonzero(f[k:])
+            if not nz.size:
                 continue
-            pick = k + nz.argmax(axis=1)
-            lanes = np.arange(count)
-            a[:, k], a[lanes, pick] = a[lanes, pick], a[:, k].copy()
-            det = np.where(pick != k, primes - det, det)
-            piv = a[:, k, col]
-        det = det * piv % primes
-        inv = np.array([pow(v, -1, q) for v, q in zip(piv.tolist(), plist)], dtype=np.int64)
-        a[:, k, col:] = a[:, k, col:] * inv[:, None] % q2
-        below = a[:, k + 1 :, col, None]
-        a[:, k + 1 :, col + 1 :] -= below * a[:, k, None, col + 1 :]
-        a[:, k + 1 :, col + 1 :] %= q3
+            g[:, [k, k + nz[0]]] = g[:, [k + nz[0], k]]
+            f[[k, k + nz[0]]] = f[[k + nz[0], k]]
+        pivot_row = g[col + 1 :, k] % p * pow(int(f[k]), -1, p) % p
+        f[k] = 0
+        g[col + 1 :] -= pivot_row[:, None] * f
+        g[col + 1 :, k] = pivot_row
         pivot_cols.append(col)
-    # Back substitution with x_free = (-1)**free * det, which scales the
-    # kernel vector modulo each prime to the Cramer vector's residues.
-    x = np.zeros((count, c), dtype=np.int64)
-    x[:, free] = det if free % 2 == 0 else primes - det
-    for i in reversed(range(r)):
-        j = pivot_cols[i]
-        s = (a[:, i, j + 1 :] * x[:, j + 1 :] % q2).sum(axis=1)
-        x[:, j] = -s % primes
-    modulus, basis = _crt_basis(count)
-    half = modulus // 2
-    y = []
-    for residues in x.T.tolist():
-        v = sum(map(mul, basis, residues)) % modulus
-        y.append(v - modulus if v > half else v)
-    if any(sum(map(mul, row, y)) for row in rows) or not any(y):
+    if len(pivot_cols) < r:
         return None
-    return y
+    free = next(j for j in range(c) if j not in pivot_cols)
+    inv = g[c:].T % p
+    # int64 while |B @ z| < r * |m| * p < 2**62, so res - B @ z fits too
+    dtype = np.int64 if top is not None and top * r * p < 1 << 62 else object
+    basis = a[:, pivot_cols].astype(dtype)
+    res = -a[:, free].astype(dtype)
+    hadamard_sq = prod(sum(map(mul, row, row)) for row in rows)
+    y, modulus = 0, 1
+    while modulus <= 2 * hadamard_sq:
+        z = inv @ (res % p).astype(np.int64) % p
+        res = (res - basis @ z.astype(dtype)) // p
+        y = y + z.astype(object) * modulus
+        modulus *= p
+    # d * y_j = n / d' by rational reconstruction; d' = 1 once d clears y_j
+    bound = isqrt(hadamard_sq)
+    x, d = [0] * c, 1
+    for j, u in zip(pivot_cols, y.tolist()):
+        frac = _rational_reconstruction(d * u, modulus, bound)
+        if frac is None:
+            return None
+        n, den = frac
+        if den > 1:
+            d *= den
+            x = [v * den for v in x]
+        x[j] = n
+    x[free] = d
+    if any(sum(map(mul, row, x)) for row in rows):
+        return None
+    return x
+
+
+def _rational_reconstruction(u: int, modulus: int, bound: int) -> tuple[int, int] | None:
+    """(n, d) with n = d * u modulo `modulus`, |n| <= bound and 0 < d <= bound,
+    by the half extended Euclidean algorithm, or None; unique when
+    2 * bound**2 < modulus."""
+    r0, r1, t0, t1 = modulus, u % modulus, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if abs(t1) > bound:
+        return None
+    return (r1, t1) if t1 > 0 else (-r1, -t1)
 
 
 def _expansion_fits(n: int, max_abs: int, bits: int = 63) -> bool:

@@ -5,6 +5,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from intmat import charfunc
 from intmat.charfunc import (
     C2,
     ETA,
@@ -199,6 +200,18 @@ def test_small_ball_lcd_bound_attached():
     want = 0.05 / math.sqrt(0.25) + (0.1 * 0.25 * 16) ** (-0.1 * 30)
     assert rep.lcd_bound == pytest.approx(want, rel=1e-12)
     assert lcd_regime_bound(0.05, 16, 30, params) == rep.lcd_bound
+
+
+@pytest.mark.parametrize("eps", [0.125, 0.5, 2.0])
+def test_small_ball_hits_do_not_depend_on_the_projection_block(eps, monkeypatch):
+    # the block size picks the BLAS kernel of `sample @ x`; the hits must
+    # not depend on it, down to one row per projection
+    x = random_unit_vector(100, Seed(68))
+    hits = []
+    for rows in (1, 7, charfunc._PROJECT_ROWS):
+        monkeypatch.setattr(charfunc, "_PROJECT_ROWS", rows)
+        hits.append(small_ball_probe(x, 16, eps, 12_000, Seed(69)).mc_probability.hits)
+    assert hits[0] == hits[1] == hits[2] > 0
 
 
 def test_charfunc_params_validation():

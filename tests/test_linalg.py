@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from intmat import linalg
 from intmat.errors import DimensionError
 from intmat.linalg import (
-    _CRT_PRIMES,
     IntMatrix,
     RationalVector,
     _det_rows,
@@ -154,8 +153,8 @@ def test_kernel_canonical_normalization():
 
 @st.composite
 def kernel_inputs(draw):
-    # mostly (c-1) x c, the multimodular path's shape; small entries make
-    # rank deficiency likely, large ones need several primes
+    # mostly (c-1) x c, the lifting path's shape; small entries make rank
+    # deficiency likely, large ones need many p-adic digits
     r = draw(st.integers(1, 6))
     c = r + 1 if draw(st.booleans()) else draw(st.integers(1, 7))
     bound = draw(st.sampled_from((1, 3, 2**20, 2**40)))
@@ -169,17 +168,48 @@ def test_kernel_basis_matches_fraction_oracle(m):
     assert kernel_basis(m) == kernel_basis_oracle(m)
 
 
-def test_crt_primes_are_distinct_31_bit_primes():
-    assert len(set(_CRT_PRIMES)) == len(_CRT_PRIMES)
-    for p in _CRT_PRIMES:
-        assert 2 < p < 2**31
-        assert all(p % d for d in range(3, isqrt(p) + 1, 2))
+@st.composite
+def normal_vector_inputs(draw):
+    # (c-1) x c with planted dependent columns, entries that are multiples of
+    # the lifting prime, or entries up to 2**70 (past int64 and past the
+    # int64 lifting bound |a| * r * p < 2**62)
+    r = draw(st.integers(1, 7))
+    c = r + 1
+    bound = draw(st.sampled_from((2, 16, 2**40, 2**70)))
+    cols = [draw(st.lists(st.integers(-bound, bound), min_size=r, max_size=r)) for _ in range(c)]
+    for j in range(draw(st.integers(0, 2))):
+        # column j+1 becomes a combination of earlier columns
+        if j + 1 < c:
+            s, t = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+            cols[j + 1] = [s * u + t * v for u, v in zip(cols[0], cols[j])]
+    scale = draw(st.sampled_from((1, 1, linalg._LIFT_PRIME, linalg._LIFT_PRIME * 2**40)))
+    return IntMatrix.from_rows([[scale * cols[j][i] for j in range(c)] for i in range(r)])
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(normal_vector_inputs())
+def test_kernel_basis_normal_vector_shapes_match_oracle(m):
+    want = kernel_basis_oracle(m)
+    assert kernel_basis(m) == want
+    x = linalg._lifted_kernel(m)
+    if x is not None:
+        assert [linalg._canonical(x)] == want
+
+
+def test_lifting_prime_is_prime_and_lazy_sums_fit_int64():
+    p = linalg._LIFT_PRIME
+    assert p < 2**25 and all(p % d for d in range(2, isqrt(p) + 1))
+    # the largest such prime: no prime lies between p and 2**25
+    assert all(any(q % d == 0 for d in range(2, isqrt(q) + 1)) for q in range(p + 1, 2**25))
+    # a Gauss-Jordan entry is a residue minus at most r products below p**2
+    r = 8191
+    assert r * (p - 1) ** 2 + p < 2**63
 
 
 @pytest.mark.parametrize(
     "rows",
     [
-        [[_CRT_PRIMES[0], 0, 0], [0, 1, 0]],  # rank 1 modulo the first prime only
+        [[linalg._LIFT_PRIME, 0, 0], [0, 1, 0]],  # rank 1 modulo the lifting prime only
         [[1, 2, 3, 4], [2, 4, 6, 8], [0, 1, 1, 1]],  # rank-deficient 3 x 4
         [[0, 0, 0], [0, 0, 0]],  # zero matrix, (c-1) x c
         [[0, 0, 1], [0, 0, 2]],  # two free columns
@@ -187,14 +217,14 @@ def test_crt_primes_are_distinct_31_bit_primes():
 )
 def test_kernel_basis_fallback_from_the_multimodular_shape(rows):
     m = IntMatrix.from_rows(rows)
-    assert linalg._cramer_kernel(m) is None
+    assert linalg._lifted_kernel(m) is None
     assert kernel_basis(m) == kernel_basis_oracle(m)
 
 
 @pytest.mark.parametrize("rows", [[[0, 5]], [[1, 2, 3], [2, 4, 7]], [[0, 1, 2], [0, 3, 5]]])
 def test_kernel_basis_multimodular_with_an_early_free_column(rows):
     m = IntMatrix.from_rows(rows)
-    assert linalg._cramer_kernel(m) is not None
+    assert linalg._lifted_kernel(m) is not None
     assert kernel_basis(m) == kernel_basis_oracle(m)
 
 
@@ -208,26 +238,29 @@ def test_kernel_basis_multimodular_with_an_early_free_column(rows):
     ],
 )
 def test_kernel_basis_other_shapes_take_the_integer_back_substitution(rows, monkeypatch):
-    def no_multimodular(m):
-        raise AssertionError("only (c-1) x c matrices take the multimodular path")
+    def no_lifting(m):
+        raise AssertionError("only (c-1) x c matrices take the lifting path")
 
-    monkeypatch.setattr(linalg, "_cramer_kernel", no_multimodular)
+    monkeypatch.setattr(linalg, "_lifted_kernel", no_lifting)
     m = IntMatrix.from_rows(rows)
     assert kernel_basis(m) == kernel_basis_oracle(m)
 
 
-def test_kernel_basis_primes_run_out():
-    # the Hadamard bound of 3 x 4 with entries 2**400 needs more than 2**990
+def test_kernel_basis_lifts_2_400_entries_exactly():
+    # twice the squared Hadamard bound of 3 x 4 with entries 2**400 needs
+    # 97 digits modulo p, lifted in Python integers
     m = IntMatrix.from_rows([[2**400, 1, 2, 3], [4, 2**400 + 5, 6, 7], [8, 9, 2**400, 11]])
-    assert linalg._cramer_kernel(m) is None
-    assert kernel_basis(m) == kernel_basis_oracle(m)
+    x = linalg._lifted_kernel(m)
+    assert x is not None and not any(sum(a * b for a, b in zip(row, x)) for row in m.to_lists())
+    assert kernel_basis(m) == kernel_basis_oracle(m) == [linalg._canonical(x)]
 
 
-def test_kernel_basis_39x40_multimodular_matches_oracle():
+@pytest.mark.parametrize("bound", [16, 2**40])
+def test_kernel_basis_39x40_lifting_matches_oracle(bound):
     rng = np.random.default_rng(40)
     for _ in range(3):
-        m = random_matrix(rng, 39, 40, -16, 16)
-        assert linalg._cramer_kernel(m) is not None
+        m = random_matrix(rng, 39, 40, -bound, bound)
+        assert linalg._lifted_kernel(m) is not None
         assert kernel_basis(m) == kernel_basis_oracle(m)
 
 

@@ -43,7 +43,7 @@ from .errors import DimensionError
 # The prime of the MDS filter (`maximal_minors`), 2**29 - 3. A level of the
 # expansion sums at most k products of two residues, each below p**2 < 2**58,
 # so k * p**2 < 2**63 for every k up to 32 (`maximal_minors` checks it), and
-# `is_mds` expands only for k <= 18: int64 never wraps.
+# `is_mds` expands at most min(k, n-k) <= 9 rows: int64 never wraps.
 _FILTER_PRIME = (1 << 29) - 3
 
 # Largest n that det_batch expands over column subsets. The expansion costs
@@ -118,9 +118,6 @@ class IntMatrix:
         cols = list(cols)
         flat = tuple(self.at(i, j) for i in range(self.rows) for j in cols)
         return IntMatrix(self.rows, len(cols), flat)
-
-    def max_abs(self) -> int:
-        return max(abs(v) for v in self.entries)
 
     @property
     def is_square(self) -> bool:

@@ -1,5 +1,6 @@
 """MDS matrices over integer alphabets: exact verification and
-rejection-sampling generation, with the pigeonhole and union bounds."""
+rejection-sampling generation, with the pigeonhole and Schwartz-Zippel
+bounds."""
 
 from __future__ import annotations
 
@@ -10,14 +11,15 @@ from itertools import combinations, islice
 import numpy as np
 
 from .errors import BudgetExceededError, DimensionError, DomainError, GenerationError
-from .linalg import IntMatrix, det, maximal_minors
+from .linalg import IntMatrix, det, kernel_basis, maximal_minors
 # Uncalled: perfbench/tracing.py wraps intmat.mds.det_mod, so the name stays
 # until the tracer reads run statistics instead of private names.
 from .linalg import det_mod  # noqa: F401
 from .sampling import EntryDistribution, Seed, generator
 
-# Most minors `is_mds` holds at once: one level of maximal_minors, max_r
-# C(n, r) minors (12,870 for 8 x 16; 10 x 30 would need C(30, 10), about
+# Most minors `is_mds` holds at once: the widest level of maximal_minors on
+# the side it expands, k x n or the (n-k) x n dual, which is C(n, k) either
+# way (12,870 for 8 x 16; 10 x 30 and 20 x 30 would need C(30, 10), about
 # 3 * 10**7). Its cached index plans take 16 bytes per (subset, row) pair on
 # top. The widest shape within 2**16, 9 x 18 at |a| <= 2**20, takes 0.05 s in
 # a fresh interpreter (7 ms once its plans are cached) and peaks at 66 MiB of
@@ -54,38 +56,40 @@ class GenerationReport:
 def is_mds(m: IntMatrix) -> MdsVerdict:
     """Check that every k x k minor of the k x n matrix is nonsingular.
 
-    Computes all C(n, k) minors modulo one prime (`maximal_minors`); a
-    nonzero residue proves its minor nonzero. Each residue-zero minor is a
-    candidate, confirmed in `combinations` order by the scalar Bareiss
-    `det`, and the first confirmed zero is the witness: the
-    lexicographically first singular column set, with minors_checked its
-    1-based position, or C(n, k) when there is none. A nonzero minor that
-    the prime divides costs one `det` and is skipped. When a level of the
-    expansion would hold more than MINOR_BUDGET minors but C(n, k) does not
-    exceed it, each minor is the scalar `det` instead, in the same order.
-    Raises BudgetExceededError before allocating when both exceed
-    MINOR_BUDGET.
+    Computes all C(n, k) minors modulo one prime (`maximal_minors`) on the
+    smaller side. When 2k > n that is the dual: H, an (n-k) x n integer
+    basis of the kernel. Each maximal minor of A is one fixed nonzero scalar
+    times +-the minor of H on the complementary columns (Pluecker duality),
+    and complementation reverses `combinations` order, so H's residues
+    reversed line up with A's column sets. A nonzero residue proves its
+    minor nonzero. Each residue-zero minor is a candidate, confirmed in
+    `combinations` order by the scalar Bareiss `det` of A's columns, and the
+    first confirmed zero is the witness: the lexicographically first
+    singular column set, with minors_checked its 1-based position, or
+    C(n, k) when there is none. A nonzero minor that the prime divides
+    costs one `det` and is skipped. When k = n, or when the kernel is wider
+    than n-k (rank below k: every minor is zero), every minor is a
+    candidate, so the first `det` decides. Raises BudgetExceededError
+    before allocating when C(n, k), the widest level of either side,
+    exceeds MINOR_BUDGET.
     """
     k, n = m.rows, m.cols
     if k > n:
         raise DimensionError(f"need k <= n, got {k}x{n}")
-    widest = math.comb(n, min(k, n // 2))
-    if widest > MINOR_BUDGET:
-        total = math.comb(n, k)
-        if total > MINOR_BUDGET:
-            raise BudgetExceededError(
-                f"verifying a {k}x{n} matrix holds {widest} minors at once,"
-                f" over the budget of {MINOR_BUDGET}",
-                required=widest,
-                budget=MINOR_BUDGET,
-            )
-        # Few maximal minors but a wide middle level (near-square shapes such
-        # as 19 x 19 or 16 x 20): one scalar det per minor, in the same order.
-        for checked, cols in enumerate(combinations(range(n), k), 1):
-            if det(m.submatrix_columns(cols)) == 0:
-                return MdsVerdict(is_mds=False, witness=cols, minors_checked=checked)
-        return MdsVerdict(is_mds=True, witness=None, minors_checked=total)
-    residues = maximal_minors(m)
+    total = math.comb(n, k)
+    if total > MINOR_BUDGET:
+        raise BudgetExceededError(
+            f"verifying a {k}x{n} matrix holds {total} minors at once,"
+            f" over the budget of {MINOR_BUDGET}",
+            required=total,
+            budget=MINOR_BUDGET,
+        )
+    if 2 * k <= n:
+        residues = maximal_minors(m)
+    elif k < n and len(kernel := kernel_basis(m)) == n - k:
+        residues = maximal_minors(IntMatrix.from_rows(x.entries for x in kernel))[::-1]
+    else:  # k = n, or rank below k: `det` of the first column set decides
+        residues = np.zeros(total, dtype=np.int64)
     subsets = combinations(range(n), k)
     seen = 0
     for pos in np.flatnonzero(residues == 0).tolist():
@@ -93,7 +97,7 @@ def is_mds(m: IntMatrix) -> MdsVerdict:
         seen = pos + 1
         if det(m.submatrix_columns(cols)) == 0:
             return MdsVerdict(is_mds=False, witness=cols, minors_checked=seen)
-    return MdsVerdict(is_mds=True, witness=None, minors_checked=residues.size)
+    return MdsVerdict(is_mds=True, witness=None, minors_checked=total)
 
 
 def generate_mds(
@@ -105,63 +109,50 @@ def generate_mds(
 ) -> GenerationReport:
     """Rejection-sample uniform {-m,...,m} matrices until one is MDS.
 
-    Attempts run sequentially off a single generator stream so the result
-    is reproducible from the seed alone. Raises GenerationError (with the
-    attempt count and last witness) when max_attempts is exhausted.
+    m defaults to `default_generation_m(k, n)`, where one attempt fails
+    with probability below 1/2. Attempts run sequentially off a single
+    generator stream so the result is reproducible from the seed alone.
+    Raises GenerationError (with the attempt count and last witness) after
+    max_attempts failed attempts.
     """
     if k > n:
         raise DimensionError(f"need k <= n, got k={k}, n={n}")
     if max_attempts < 1:
         raise DomainError("max_attempts must be >= 1")
-    auto_m = m is None
-    if auto_m:
+    if m is None:
         m = default_generation_m(k, n)
     if m < 1:
         raise DomainError("m must be >= 1")
     gen = generator(seed)
+    dist = EntryDistribution.uniform_symmetric(m)
     last_witness = None
-    attempt = 0
-    # when m was chosen automatically, double it after each exhausted round
-    rounds = 8 if auto_m else 1
-    for _ in range(rounds):
-        dist = EntryDistribution.uniform_symmetric(m)
-        for _ in range(max_attempts):
-            attempt += 1
-            flat = dist.sample_array(gen, k * n)
-            cand = IntMatrix(k, n, tuple(int(v) for v in flat))
-            verdict = is_mds(cand)
-            if verdict.is_mds:
-                return GenerationReport(matrix=cand, attempts=attempt, m_used=m, seed=seed)
-            last_witness = verdict.witness
-        if auto_m:
-            m *= 2
+    for attempt in range(1, max_attempts + 1):
+        flat = dist.sample_array(gen, k * n)
+        cand = IntMatrix(k, n, tuple(int(v) for v in flat))
+        verdict = is_mds(cand)
+        if verdict.is_mds:
+            return GenerationReport(matrix=cand, attempts=attempt, m_used=m, seed=seed)
+        last_witness = verdict.witness
     raise GenerationError(
-        f"no MDS matrix found in {attempt} attempts (k={k}, n={n}, m={m})",
-        attempts=attempt,
+        f"no MDS matrix found in {max_attempts} attempts (k={k}, n={n}, m={m})",
+        attempts=max_attempts,
         last_witness=last_witness,
     )
 
 
-def default_generation_m(k: int, n: int, c: float = 0.1) -> int:
-    """Smallest m making the union-bound failure estimate <= 1/2.
+def default_generation_m(k: int, n: int) -> int:
+    """k * C(n, k): the smallest m for which the union bound C(n, k) * k /
+    (2m + 1) on a singular minor is below 1/2.
 
-    Uses a deliberately conservative exponent; generate_mds doubles this
-    on repeated failure when m was not given explicitly.
+    Each k x k minor is a nonzero polynomial of degree k in the entries,
+    so by Schwartz-Zippel (Schwartz, JACM 1980) it vanishes with
+    probability at most k / (2m + 1) on uniform {-m,...,m} entries. One
+    attempt of `generate_mds` then fails with probability below 1/2, and
+    all 64 default attempts with probability below 2**-64.
     """
     if k > n or k < 1:
         raise DimensionError("need 1 <= k <= n")
-    # union_bound_failure is non-increasing in m: double to an upper end,
-    # then bisect for the first m at or below 1/2
-    lo, hi = 0, 1
-    while union_bound_failure(k, n, hi, c) > 0.5:
-        lo, hi = hi, 2 * hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if union_bound_failure(k, n, mid, c) <= 0.5:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return k * math.comb(n, k)
 
 
 def pigeonhole_min_alphabet(k: int, n: int) -> int:
@@ -176,14 +167,3 @@ def pigeonhole_min_alphabet(k: int, n: int) -> int:
         s += 1
     return max(s, 1)
 
-
-def union_bound_failure(k: int, n: int, m: int, c: float) -> float:
-    """(e*n / (k * m**c))**k, clamped to [0, 1]."""
-    if not 0 < c <= 1:
-        raise DomainError("c must lie in (0, 1]")
-    if k < 1 or n < k or m < 1:
-        raise DomainError("need 1 <= k <= n and m >= 1")
-    base = math.e * n / (k * m**c)
-    if base >= 1.0:
-        return 1.0
-    return min(1.0, base**k)

@@ -17,6 +17,8 @@ from intmat.formats import read_matrix, write_matrix
 from intmat.linalg import IntMatrix
 from intmat.mds import is_mds
 
+from oracles import brute_is_mds
+
 
 def run(capsys, argv):
     code = main(argv)
@@ -189,18 +191,19 @@ def test_mds_generate_failure_exit_2(capsys):
     assert code == 2
 
 
-def test_mds_generate_default_m_beyond_int64_exit_1():
-    # the derived default m is about 7e25; a subprocess with a timeout turns
-    # a hang in deriving it into a failure instead of a stalled suite
+def test_mds_generate_default_m_k2_n200_exit_0():
+    # the default m is k * C(n, k) = 39,800; a subprocess with a timeout
+    # turns a hang into a failure instead of a stalled suite
     env = dict(os.environ, PYTHONPATH=str(Path(intmat.__file__).parents[1]))
     argv = ["mds", "generate", "--k", "2", "--n", "200", "--seed", "1", "--json"]
     proc = subprocess.run(
         [sys.executable, "-m", "intmat.cli", *argv],
         capture_output=True, text=True, env=env, timeout=60,
     )
-    assert proc.returncode == 1
-    assert proc.stdout == ""
-    assert proc.stderr.startswith("intmat:") and "Traceback" not in proc.stderr
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert payload["m_used"] == 39_800
+    assert brute_is_mds(payload["matrix"]) == (True, None)
 
 
 def _cli_subprocess(argv):

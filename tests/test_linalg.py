@@ -487,7 +487,7 @@ def test_minor_plan_subsets_match_combinations():
 
 def test_filter_prime_keeps_a_level_in_int64():
     assert P == 536_870_909 and all(P % d for d in range(2, isqrt(P) + 1))
-    # is_mds expands only when C(n, min(k, n//2)) <= MINOR_BUDGET, so k <= 18
+    # is_mds expands min(k, n-k) rows with C(n, k) <= MINOR_BUDGET, so at most 9
     assert 18 * P * P < 2**63
     with pytest.raises(DimensionError):  # refused before any level is built
         maximal_minors(IntMatrix(33, 33, (1,) * 33 * 33))

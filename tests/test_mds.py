@@ -1,3 +1,4 @@
+from fractions import Fraction
 from itertools import combinations
 from math import comb
 
@@ -14,9 +15,8 @@ from intmat.mds import (
     generate_mds,
     is_mds,
     pigeonhole_min_alphabet,
-    union_bound_failure,
 )
-from intmat.sampling import Seed
+from intmat.sampling import EntryDistribution, Seed
 
 from oracles import brute_is_mds
 
@@ -98,7 +98,8 @@ def test_negative_verdict_is_confirmed_by_one_scalar_det(monkeypatch):
 @st.composite
 def wide_mds_cases(draw):
     """k x n matrices with entries above the int64 expansion bound (or all
-    multiples of the filter prime), some with a planted dependent column."""
+    multiples of the filter prime), some with a planted dependent column
+    and some with a planted dependent row (rank below k)."""
     k = draw(st.integers(1, 5))
     n = draw(st.integers(k, 8))
     scale = draw(st.sampled_from((1, P, P << 40)))
@@ -108,7 +109,11 @@ def wide_mds_cases(draw):
     if n > 1 and draw(st.booleans()):
         i, j, *rest = draw(st.permutations(range(n)))
         cols[j] = cols[i] if not rest else [x - y for x, y in zip(cols[i], cols[rest[0]])]
-    return [list(r) for r in zip(*cols)]
+    rows = [list(r) for r in zip(*cols)]
+    if k > 1 and draw(st.booleans()):
+        i, j, *rest = draw(st.permutations(range(k)))
+        rows[j] = rows[i] if not rest else [x + y for x, y in zip(rows[i], rows[rest[0]])]
+    return rows
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
@@ -159,33 +164,57 @@ def test_minor_budget_fails_before_allocating(monkeypatch):
 
 
 def _no_expansion(m):
-    raise AssertionError("maximal_minors must not run when its widest level is over budget")
+    raise AssertionError("maximal_minors must not run: the first det decides")
 
 
 def test_near_square_shapes_within_budget_use_scalar_det(monkeypatch):
     # the 19 x 19 identity has one maximal minor, but C(19, 9) = 92,378
-    # minors in the expansion's middle level
+    # minors in the expansion's middle level: one det decides
+    det = mds.det
+    calls = []
+    monkeypatch.setattr(mds, "det", lambda sub: calls.append(sub) or det(sub))
     monkeypatch.setattr(mds, "maximal_minors", _no_expansion)
     assert comb(19, 9) > MINOR_BUDGET
     assert is_mds(IntMatrix.identity(19)) == mds.MdsVerdict(True, None, 1)
+    assert len(calls) == 1
     singular = IntMatrix(19, 19, IntMatrix.identity(19).entries[:-1] + (0,))
     assert is_mds(singular) == mds.MdsVerdict(False, tuple(range(19)), 1)
+    assert len(calls) == 2
+
+
+def _expands_only(monkeypatch, shape):
+    """Make mds.maximal_minors assert that it expands a matrix of `shape`."""
+    expand = mds.maximal_minors
+
+    def checked(m):
+        assert (m.rows, m.cols) == shape
+        return expand(m)
+
+    monkeypatch.setattr(mds, "maximal_minors", checked)
 
 
 def test_16x20_vandermonde_is_mds_within_budget(monkeypatch):
-    # C(20, 16) = 4,845 maximal minors; the widest level, C(20, 10), is over
-    monkeypatch.setattr(mds, "maximal_minors", _no_expansion)
+    # C(20, 16) = 4,845 maximal minors; A's widest level, C(20, 10), is over,
+    # so the 4 x 20 kernel basis is expanded instead
+    _expands_only(monkeypatch, (4, 20))
     assert comb(20, 16) <= MINOR_BUDGET < comb(20, 10)
     assert is_mds(vandermonde(16, 20)) == mds.MdsVerdict(True, None, comb(20, 16))
 
 
 def test_16x20_scalar_path_keeps_witness_order(monkeypatch):
     # [I | 0]: the first column set is nonsingular, the second takes column 16
-    monkeypatch.setattr(mds, "maximal_minors", _no_expansion)
+    _expands_only(monkeypatch, (4, 20))
     rows = [[int(i == j) for j in range(20)] for i in range(16)]
     verdict = is_mds(IntMatrix.from_rows(rows))
     assert verdict.witness == tuple(range(15)) + (16,)
     assert verdict.minors_checked == 2
+
+
+def test_rank_below_k_is_witnessed_by_the_first_column_set(monkeypatch):
+    monkeypatch.setattr(mds, "maximal_minors", _no_expansion)
+    rows = [[1, 2, 3, 4, 5], [2, 4, 6, 8, 10], [0, 1, 0, 1, 1]]  # row 1 = 2 * row 0
+    assert is_mds(IntMatrix.from_rows(rows)) == mds.MdsVerdict(False, (0, 1, 2), 1)
+    assert brute_is_mds(rows) == (False, (0, 1, 2))
 
 
 def test_witness_is_lexicographically_first():
@@ -291,37 +320,43 @@ def test_pigeonhole_is_minimal():
             assert s == 1 or (s - 1) * (s - 1) * k < n
 
 
-def test_union_bound_boundary_and_limits():
-    import math
-
-    # base exactly 1: bound is 1
-    m_boundary = (math.e * 8 / 4) ** (1 / 0.5)
-    assert union_bound_failure(4, 8, round(m_boundary), 0.5) <= 1.0
-    assert union_bound_failure(4, 8, 2, 0.5) == 1.0
-    assert union_bound_failure(4, 8, 10**9, 0.5) < 1e-12
-    with pytest.raises(DomainError):
-        union_bound_failure(4, 8, 2, 0.0)
-
-
-def test_union_bound_dominates_empirical_failure_rate():
-    # pilot at (3, 6, 16): empirical failure rate 0.018 with fitted
-    # c ~ 0.68; the bound at the conservative c = 0.5 already dominates
-    assert union_bound_failure(3, 6, 16, 0.5) >= 0.05
-
-
 def test_default_generation_m_policy():
-    m = default_generation_m(4, 8)
-    assert union_bound_failure(4, 8, m, 0.1) <= 0.5
-    assert m == 1 or union_bound_failure(4, 8, m - 1, 0.1) > 0.5
+    # the smallest m whose Schwartz-Zippel union bound C(n, k) * k / (2m + 1)
+    # on a singular minor is below 1/2
+    def bound(k, n, m):
+        return Fraction(comb(n, k) * k, 2 * m + 1)
+
+    for n in range(1, 13):
+        for k in range(1, n + 1):
+            m = default_generation_m(k, n)
+            assert bound(k, n, m) < Fraction(1, 2) <= bound(k, n, m - 1)
+    with pytest.raises(DimensionError):
+        default_generation_m(3, 2)
 
 
 def test_default_generation_m_pinned_values():
     # seeded `mds generate` outputs without --m depend on this value
-    assert default_generation_m(4, 8) == 127590919
-    assert default_generation_m(1, 1) == 22555101
+    assert default_generation_m(4, 8) == 280
+    assert default_generation_m(1, 1) == 1
+    assert default_generation_m(2, 200) == 39_800
 
 
 def test_default_generation_m_huge_alphabet_returns():
+    # k = 2, n = 200 once derived an alphabet beyond int64; the bound's
+    # alphabet is one the sampler draws directly
     m = default_generation_m(2, 200)
-    assert union_bound_failure(2, 200, m, 0.1) <= 0.5 < union_bound_failure(2, 200, m - 1, 0.1)
-    assert m > 2**63
+    assert m < 2**63
+    assert EntryDistribution.uniform_symmetric(m).max_abs_value() == m
+
+
+def test_generate_without_m_uses_the_bound_within_max_attempts():
+    for k, n in ((1, 1), (1, 4), (2, 5), (3, 6), (4, 8), (5, 7), (6, 7)):
+        for i in range(10):
+            try:
+                rep = generate_mds(k, n, max_attempts=2, seed=Seed(900 + i))
+            except GenerationError as err:
+                assert err.attempts == 2
+                continue
+            assert rep.m_used == k * comb(n, k)
+            assert 1 <= rep.attempts <= 2
+            assert brute_is_mds(rep.matrix.to_lists())[0]

@@ -1,5 +1,6 @@
 import bisect
 import hashlib
+import json
 import math
 from fractions import Fraction
 
@@ -301,6 +302,7 @@ GOLDEN_ESTIMATE = "ef9ba4f298dca8dd"
 GOLDEN_CLI = {
     "smallball": "e0f2047314c3f731",
     "mds_generate": "b91f9e3e46ff0e7a",
+    "estimate_n12": "5539544ef85118f3",
 }
 GOLDEN_SMALLBALL_SHARDS = "79c14d4da401bf9d"
 GOLDEN_ESTIMATE_ARGV = ["estimate", "--n", "3", "--m", "2", "--trials", "70000", "--seed", "7", "--json"]
@@ -311,7 +313,12 @@ GOLDEN_CLI_ARGV = {
                   "--seed", "9", "--json"],
     "mds_generate": ["mds", "generate", "--k", "3", "--n", "6", "--m", "16", "--seed", "11",
                      "--json"],
+    # past the expansion's bound: singular matrices decided off the expansion
+    "estimate_n12": ["estimate", "--n", "12", "--m", "1", "--trials", "20000", "--seed", "7",
+                     "--json"],
 }
+# n = 4 on {-2**40, 0, 2**40}: past the expansion's bound, and singular in half the trials
+GOLDEN_WIDE_LAW = "509b77acd545b8a7"
 
 
 def _digest(data: bytes) -> str:
@@ -361,3 +368,13 @@ def test_golden_smallball_stdout_across_threads(capsys, threads):
     extra = [] if threads is None else ["--threads", threads]
     assert main(GOLDEN_SMALLBALL_SHARDS_ARGV + extra) == 0
     assert _digest(capsys.readouterr().out.encode()) == GOLDEN_SMALLBALL_SHARDS
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_golden_wide_law_estimate_stdout(capsys, tmp_path, threads):
+    spec = tmp_path / "wide.json"
+    spec.write_text(json.dumps({"support": [-(2**40), 0, 2**40], "pmf": ["1/4", "1/2", "1/4"]}))
+    argv = ["estimate", "--n", "4", "--dist", f"custom:{spec}", "--trials", "20000",
+            "--seed", "7", "--json", "--threads", threads]
+    assert main(argv) == 0
+    assert _digest(capsys.readouterr().out.encode()) == GOLDEN_WIDE_LAW

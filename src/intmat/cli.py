@@ -16,7 +16,6 @@ import functools
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__
@@ -54,22 +53,16 @@ import numpy as np
 MAX_GRID = 1 << 20
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved invocation parameters echoed into every report."""
-
-    command: str
-    seed: Seed | None
-    output_format: str
-    output_path: str | None
-
-    def echo(self) -> dict:
-        out = {"command": self.command, "output_format": self.output_format}
-        if self.seed is not None:
-            out["seed"] = {"value": self.seed.value, "stream": self.seed.stream}
-        if self.output_path is not None:
-            out["output_path"] = self.output_path
-        return out
+def _seeded_config(command: str, seed: Seed, fmt: str, output_path: str | None = None) -> dict:
+    """The invocation parameters a seeded command echoes into its report."""
+    config = {
+        "command": command,
+        "output_format": fmt,
+        "seed": {"value": seed.value, "stream": seed.stream},
+    }
+    if output_path is not None:
+        config["output_path"] = output_path
+    return config
 
 
 class _Parser(argparse.ArgumentParser):
@@ -148,7 +141,6 @@ def _cmd_estimate(args, out) -> int:
     threads = _resolve_threads(args)
     report = mc_singularity(args.n, dist, args.trials, seed, threads=threads)
     fmt = args.format
-    config = RunConfig("estimate", seed, fmt, None)
     if fmt == "csv":
         out.write("n,m,trials,hits,estimate,ci_low,ci_high,seed\n")
         m_field = "" if report.m is None else str(report.m)
@@ -160,7 +152,7 @@ def _cmd_estimate(args, out) -> int:
         return 0
     payload = {
         "version": __version__,
-        "config": config.echo(),
+        "config": _seeded_config("estimate", seed, fmt),
         "n": report.n,
         "m": report.m,
         "trials": report.trials,
@@ -239,7 +231,7 @@ def _cmd_mds_generate(args, out) -> int:
         write_matrix(report.matrix, args.output)
     payload = {
         "version": __version__,
-        "config": RunConfig("mds-generate", seed, args.format, args.output).echo(),
+        "config": _seeded_config("mds-generate", seed, args.format, args.output),
         "k": args.k,
         "n": args.n,
         "m_used": report.m_used,
@@ -344,7 +336,7 @@ def _cmd_smallball(args, out) -> int:
     mc = report.mc_probability
     payload = {
         "version": __version__,
-        "config": RunConfig("smallball", seed, args.format, None).echo(),
+        "config": _seeded_config("smallball", seed, args.format),
         "n": args.n,
         "m": args.m,
         "epsilon": report.epsilon,

@@ -16,10 +16,12 @@ scaling the partial solution instead of dividing.
 Monte Carlo hot path: a division-free expansion over column subsets
 (`leading_minors`) for n <= 8, run in lanes of at most _LANE matrices, in
 int32 when the expansion's bound allows it for the batch's largest entry
-and in int64 otherwise; batch Bareiss above. Callers use it only when
-`batch_det_fits_int64` holds, and fall back to the scalar big-integer
-routine otherwise. Exact enumeration stops the same expansion one level
-early, for the maximal minors of a batch of (n-1) x n row stacks.
+and in int64 otherwise. Callers use it only when `batch_det_fits_int64`
+holds. Every other batch goes through `nonsingular_mod_p`, elimination
+modulo one prime that can only prove a matrix nonsingular; the caller
+confirms the rest with the scalar big-integer routine. Exact enumeration
+stops the same expansion one level early, for the maximal minors of a batch
+of (n-1) x n row stacks.
 
 `maximal_minors` gives every k x k minor of one k x n matrix modulo the
 prime _FILTER_PRIME (the MDS check) by the same expansion, one level of
@@ -40,25 +42,26 @@ import numpy as np
 
 from .errors import DimensionError
 
-# The prime of the MDS filter (`maximal_minors`), 2**29 - 3. A level of the
-# expansion sums at most k products of two residues, each below p**2 < 2**58,
-# so k * p**2 < 2**63 for every k up to 32 (`maximal_minors` checks it), and
-# `is_mds` expands at most min(k, n-k) <= 9 rows: int64 never wraps.
+# The prime of both filters, `maximal_minors` (MDS) and `nonsingular_mod_p`,
+# 2**29 - 3. A level of the expansion sums at most k products of two
+# residues, each below p**2 < 2**58, so k * p**2 < 2**63 for every k up to 32
+# (`maximal_minors` checks it), and `is_mds` expands at most
+# min(k, n-k) <= 9 rows; an elimination step forms piv * x - a * y from
+# residues, within +-p**2: int64 never wraps.
 _FILTER_PRIME = (1 << 29) - 3
 
 # Largest n that det_batch expands over column subsets. The expansion costs
-# n * 2**(n-1) vector multiply-adds; batch Bareiss costs ~n**3/3 lane
-# updates, but each of its n-1 steps also pays for a pivot search, row
-# swaps, dead-lane bookkeeping and an int64 floor division. Its working set
-# is exponential: the two widest levels hold 126 B-vectors at n = 8 and 462
-# at n = 10, so it runs in lanes of _LANE matrices. On a 2-vCPU Xeon, in
-# int64 lanes, it takes 1.5 us per matrix at n = 8 against 4.2 us for batch
-# Bareiss, and 7.7 us at n = 10 against 9.1 us; n >= 9 stays on batch
-# Bareiss, under its own int64 guard.
+# n * 2**(n-1) vector multiply-adds and `nonsingular_mod_p` ~n**3/3 lane
+# updates plus a remainder each, and the filter leaves every singular matrix
+# to a scalar big-integer determinant. On a 2-vCPU Xeon, per matrix of
+# entries in [-3, 3], in int64 lanes of 8,192, the expansion takes 2.1 us at
+# n = 8 against the filter's 3.5 us, 4.1 against 4.6 us at n = 9 (where its
+# int64 guard admits m <= 39 only) and 8.8 against 6.2 us at n = 10.
 _EXPANSION_MAX_N = 8
 
-# Matrices per det_batch lane: the widest level at n = 8, 70 vectors of
-# 8,192 lanes, takes 4.4 MiB in int64 and 2.2 MiB in int32; a whole
+# Matrices per lane of det_batch and nonsingular_mod_p: the widest level at
+# n = 8, 70 vectors of 8,192 lanes, takes 4.4 MiB in int64 and 2.2 MiB in
+# int32, and the filter's int64 copy of a 10 x 10 lane 6.4 MiB; a whole
 # 2**20-entry sub-batch from sampling is 8 MiB in int64 before any level.
 _LANE = 1 << 13
 
@@ -401,18 +404,12 @@ def _expansion_fits(n: int, max_abs: int, bits: int = 63) -> bool:
 
 
 def batch_det_fits_int64(n: int, max_abs: int) -> bool:
-    """Whether `det_batch` is overflow-safe for n x n matrices, per branch.
-
-    For n <= 8 (the minor expansion): n * m * (m * sqrt(n-1))**(n-1) < 2**63
-    with m = max_abs, tested exactly in integers; the largest admitted m is
-    77 at n = 8, 549 at n = 6 and 25,809 at n = 4. For n >= 9 (batch
-    Bareiss): 2 * (m**2 * (n-1))**(n-1) < 2**63, twice the product of two
-    Hadamard-bounded (n-1)-minors, which is what a Bareiss update forms.
+    """Whether `det_batch` (the minor expansion, n <= 8) is overflow-safe for
+    n x n matrices: n * m * (m * sqrt(n-1))**(n-1) < 2**63 with m = max_abs,
+    tested exactly in integers; the largest admitted m is 77 at n = 8, 549 at
+    n = 6 and 25,809 at n = 4.
     """
-    if n <= _EXPANSION_MAX_N:
-        return _expansion_fits(n, max_abs)
-    b = max_abs * max_abs * (n - 1)
-    return 2 * b ** (n - 1) < (1 << 63)
+    return n <= _EXPANSION_MAX_N and _expansion_fits(n, max_abs)
 
 
 @lru_cache(maxsize=64)
@@ -523,9 +520,9 @@ def det_batch(mats: np.ndarray) -> np.ndarray:
     """Exact determinants of a batch of small integer matrices.
 
     mats is (B, n, n) integer-valued; the caller must ensure
-    `batch_det_fits_int64(n, max|entry|)`.
+    `batch_det_fits_int64(n, max|entry|)`, so n <= 8.
 
-    For n <= 8 this is the division-free expansion over column subsets of
+    This is the division-free expansion over column subsets of
     `leading_minors`, run to its last level: n * 2**(n-1) vector
     multiply-adds in all. Its intermediates grow with the level, and
     `batch_det_fits_int64` keeps them below 2**63 at level n-1, so int64
@@ -534,54 +531,50 @@ def det_batch(mats: np.ndarray) -> np.ndarray:
     bound holds below 2**31 for the batch's own largest |entry| (m <= 4 at
     n = 8, 13 at n = 6, 100 at n = 4) and in int64 otherwise; the result is
     int64 either way.
-
-    Larger n runs batch Bareiss, whose cost grows as n**3 rather than 2**n.
-    Row swaps and all-zero pivot columns (singular) are handled per
-    matrix, vectorized over the batch.
     """
     b, n, n2 = mats.shape
     if n != n2:
         raise DimensionError("batch of square matrices required")
-    if n <= _EXPANSION_MAX_N:
-        top = max(int(mats.max()), -int(mats.min())) if b else 0
-        dtype = np.int32 if _expansion_fits(n, top, 31) else np.int64
-        out = np.empty(b, dtype=np.int64)
-        lanes = -(-b // _LANE)
-        for i in range(lanes):
-            s, e = b * i // lanes, b * (i + 1) // lanes
-            a = np.array(mats[s:e].transpose(1, 2, 0), dtype=dtype, order="C")
-            out[s:e] = leading_minors(a, n)[0]
-        return out
-    a = mats.astype(np.int64, copy=True)
-    sign = np.ones(b, dtype=np.int64)
-    dead = np.zeros(b, dtype=bool)
-    prev = np.ones(b, dtype=np.int64)
-    for k in range(n - 1):
-        col = a[:, k:, k]
-        nz = col != 0
-        has_pivot = nz.any(axis=1)
-        newly_dead = ~has_pivot & ~dead
-        if newly_dead.any():
-            dead |= newly_dead
-            # park dead lanes on a unit pivot so later updates stay benign
-            a[newly_dead, k, k] = 1
-            a[newly_dead, k + 1 :, k] = 0
-        pick = np.argmax(nz, axis=1)
-        swap = has_pivot & (pick > 0) & ~dead
-        idx = np.nonzero(swap)[0]
-        if idx.size:
-            src = k + pick[idx]
-            tmp = a[idx, src, :].copy()
-            a[idx, src, :] = a[idx, k, :]
-            a[idx, k, :] = tmp
-            sign[idx] = -sign[idx]
-        piv = a[:, k, k].copy()
-        piv[dead] = 1  # keep the divisor chain nonzero on dead lanes
-        below = a[:, k + 1 :, k].copy()
-        block = a[:, k + 1 :, k + 1 :]
-        a[:, k + 1 :, k + 1 :] = (
-            piv[:, None, None] * block - below[:, :, None] * a[:, k, k + 1 :][:, None, :]
-        ) // prev[:, None, None]
-        a[:, k + 1 :, k] = 0
-        prev = piv
-    return np.where(dead, 0, sign * a[:, n - 1, n - 1])
+    top = max(int(mats.max()), -int(mats.min())) if b else 0
+    dtype = np.int32 if _expansion_fits(n, top, 31) else np.int64
+    out = np.empty(b, dtype=np.int64)
+    lanes = -(-b // _LANE)
+    for i in range(lanes):
+        s, e = b * i // lanes, b * (i + 1) // lanes
+        a = np.array(mats[s:e].transpose(1, 2, 0), dtype=dtype, order="C")
+        out[s:e] = leading_minors(a, n)[0]
+    return out
+
+
+def nonsingular_mod_p(mats: np.ndarray) -> np.ndarray:
+    """True where det ≢ 0 (mod _FILTER_PRIME), which proves the matrix
+    nonsingular; False for every singular matrix and about 1 in p others.
+
+    mats is a (B, n, n) integer batch with entries in int64. Each lane of at
+    most _LANE matrices is reduced modulo p once and eliminated without
+    division: a zero pivot takes the first lower row with a nonzero entry in
+    its column added to it (det unchanged), and each step k replaces every
+    lower row_i by piv * row_i - a_ik * row_k, reduced once (det times a
+    power of piv). det is then nonzero modulo p iff every pivot is.
+    """
+    b, n, n2 = mats.shape
+    if n != n2:
+        raise DimensionError("batch of square matrices required")
+    p = _FILTER_PRIME
+    out = np.empty(b, dtype=bool)
+    lanes = -(-b // _LANE)
+    for i in range(lanes):
+        s, e = b * i // lanes, b * (i + 1) // lanes
+        # int64 before the remainder: an int16 batch cannot hold p
+        a = np.array(mats[s:e].transpose(1, 2, 0), dtype=np.int64, order="C") % p
+        for k in range(n - 1):
+            zero = np.flatnonzero(a[k, k] == 0)
+            if zero.size:
+                below = k + 1 + np.argmax(a[k + 1 :, k, zero] != 0, axis=0)
+                a[k, k:, zero] = (a[k, k:, zero] + a[below, k:, zero]) % p
+            block = a[k + 1 :, k + 1 :]
+            block *= a[k, k]
+            block -= a[k + 1 :, k, None] * a[k, None, k + 1 :]
+            block %= p
+        out[s:e] = a.diagonal().all(axis=1)
+    return out

@@ -15,7 +15,13 @@ from statistics import NormalDist
 import numpy as np
 
 from .errors import BudgetExceededError, DomainError, FitError
-from .linalg import batch_det_fits_int64, det_batch, leading_minors, _det_rows
+from .linalg import (
+    batch_det_fits_int64,
+    det_batch,
+    leading_minors,
+    nonsingular_mod_p,
+    _det_rows,
+)
 from .sampling import EntryDistribution, Seed, generator, sample_batches
 
 SHARD_TRIALS = 1 << 15
@@ -110,11 +116,13 @@ def _count_singular(mats: np.ndarray, fits: bool) -> int:
     """Number of singular matrices in a (B, n, n) batch.
 
     int64 `det_batch` when `fits` (batch_det_fits_int64 holds for n and the
-    alphabet), else one big-integer `_det_rows` per matrix.
+    alphabet). Otherwise `nonsingular_mod_p` proves most matrices
+    nonsingular, and only the rest (the singular ones and about 1 in p
+    others) take the exact big-integer `_det_rows`.
     """
     if fits:
         return int(np.count_nonzero(det_batch(mats) == 0))
-    return sum(_det_rows(mat.tolist()) == 0 for mat in mats)
+    return sum(_det_rows(mat.tolist()) == 0 for mat in mats[~nonsingular_mod_p(mats)])
 
 
 def _singular_count(n: int, dist: EntryDistribution, seed: Seed, shard: int, count: int) -> int:

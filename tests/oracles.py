@@ -98,7 +98,8 @@ def enumerate_singular_fraction(n, m):
     """The library's former exact_singular_fraction: every one of the
     (2m+1)**(n*n) matrices in row-major odometer order, in chunks of 2**16,
     each decided by the Monte Carlo kernel (int64 `det_batch` when its
-    bound holds, else big-integer Bareiss)."""
+    bound holds, else the mod-p filter and big-integer Bareiss on every
+    matrix it cannot prove nonsingular)."""
     import numpy as np
 
     from intmat.linalg import batch_det_fits_int64

@@ -19,6 +19,7 @@ from intmat.linalg import (
     is_singular,
     kernel_basis,
     maximal_minors,
+    nonsingular_mod_p,
     rank,
 )
 
@@ -284,6 +285,7 @@ def test_batch_det_matches_scalar():
 
 def test_batch_det_overflow_guard():
     assert batch_det_fits_int64(4, 8)
+    assert not batch_det_fits_int64(9, 1)  # n >= 9 always takes the mod-p filter
     assert not batch_det_fits_int64(30, 1000)
 
 
@@ -314,11 +316,11 @@ def assert_batch_matches_scalar(mats):
         assert int(got[i]) == _det_rows(mats[i].tolist()), mats[i]
 
 
-@pytest.mark.parametrize("n", range(1, 11))
+@pytest.mark.parametrize("n", range(1, 9))
 def test_batch_det_both_branches_up_to_the_guard(n):
-    # n <= 8 takes the minor expansion, n >= 9 batch Bareiss; numpy int64
-    # wraps silently, so the all-+-m batches at the largest m the guard
-    # admits are the overflow check
+    # m = 3 runs in int32 lanes, the largest m the guard admits in int64;
+    # numpy int64 wraps silently, so the all-+-m batches at that m are the
+    # overflow check
     rng = np.random.default_rng(100 + n)
     for m in (3, largest_fitting_m(n)):
         uniform = rng.integers(-m, m, size=(40, n, n), endpoint=True, dtype=np.int64)
@@ -328,7 +330,7 @@ def test_batch_det_both_branches_up_to_the_guard(n):
             assert_batch_matches_scalar(m * sylvester_hadamard(n)[None])
 
 
-@pytest.mark.parametrize("n", range(2, 11))
+@pytest.mark.parametrize("n", range(2, 9))
 def test_batch_det_planted_singular(n):
     rng = np.random.default_rng(200 + n)
     for m in (3, largest_fitting_m(n)):
@@ -351,7 +353,7 @@ def test_batch_det_planted_singular(n):
 
 @st.composite
 def small_batches(draw):
-    n = draw(st.integers(1, 10))
+    n = draw(st.integers(1, 8))
     m = draw(st.integers(0, largest_fitting_m(n)))
     b = draw(st.integers(1, 6))
     entries = draw(st.lists(st.integers(-m, m), min_size=b * n * n, max_size=b * n * n))
@@ -452,6 +454,7 @@ def test_batch_det_lane_boundaries(b):
     mats = rng.integers(-3, 4, size=(b, 4, 4))
     mats[-1, 3] = mats[-1, 0]  # a singular matrix in the last lane
     assert_batch_matches_scalar(mats)
+    assert np.array_equal(nonsingular_mod_p(mats), det_batch(mats) % P != 0)
 
 
 def test_batch_det_takes_int16_batches():

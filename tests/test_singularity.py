@@ -1,13 +1,17 @@
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import intmat.singularity
 from intmat.errors import BudgetExceededError, DomainError, FitError
+from intmat.linalg import _FILTER_PRIME as P, _det_rows, batch_det_fits_int64, nonsingular_mod_p
 from intmat.sampling import EntryDistribution, Seed
 from intmat.singularity import (
     EstimateReport,
+    _count_singular,
     exact_singular_fraction,
     fit_exponent,
     lower_bound,
@@ -139,6 +143,97 @@ def test_mc_custom_distribution():
     assert r.m is None
     lo, hi = wilson_interval(r.hits, r.trials, confidence=0.999)
     assert lo <= p0 <= hi
+
+
+def assert_filter_matches_scalar(mats):
+    # the filter proves exactly the matrices whose det is nonzero modulo p,
+    # so never a singular one, and the exact confirmation decides the rest
+    dets = [_det_rows(mat.tolist()) for mat in mats]
+    proved = nonsingular_mod_p(mats)
+    assert proved.tolist() == [d % P != 0 for d in dets]
+    assert not any(proved[i] for i, d in enumerate(dets) if d == 0)
+    assert _count_singular(mats, False) == dets.count(0)
+
+
+@st.composite
+def filter_batches(draw):
+    """(B, n, n) int64 batches, n = 1..12, entries up to 2**62, some with a
+    planted repeated row or zero column, or every entry a multiple of p."""
+    n = draw(st.integers(1, 12))
+    plant = draw(st.sampled_from(("none", "repeated_row", "zero_column", "times_p")))
+    top = 2**62 // P if plant == "times_p" else 2**62
+    m = draw(st.integers(0, 3) | st.integers(0, top))
+    b = draw(st.integers(1, max(1, 200 // (n * n))))
+    entries = draw(st.lists(st.integers(-m, m), min_size=b * n * n, max_size=b * n * n))
+    mats = np.array(entries, dtype=np.int64).reshape(b, n, n)
+    if plant == "repeated_row" and n > 1:
+        mats[:, n - 1] = mats[:, 0]
+    elif plant == "zero_column":
+        mats[:, :, n // 2] = 0
+    elif plant == "times_p":
+        mats *= P
+    return mats
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(filter_batches())
+def test_filter_then_confirm_matches_scalar(mats):
+    assert_filter_matches_scalar(mats)
+
+
+@pytest.mark.parametrize("n", range(9, 13))
+def test_filter_planted_singular(n):
+    # n >= 9 always takes the filter: every planted singular matrix must
+    # reach the exact confirmation, and the random ones must be decided
+    rng = np.random.default_rng(200 + n)
+    for m in (3, 2**62):
+        def draw(bound):
+            return rng.integers(-bound, bound, size=(30, n, n), endpoint=True, dtype=np.int64)
+
+        repeated_row = draw(m)
+        repeated_row[:, n - 1] = repeated_row[:, 0]
+        zero_column = draw(m)
+        zero_column[:, :, n // 2] = 0
+        row_sum = draw(m // 2)  # so the summed row stays within +-m
+        row_sum[:, n - 1] = row_sum[:, 0] + row_sum[:, 1]
+        planted = np.concatenate([repeated_row, zero_column, row_sum])
+        assert not nonsingular_mod_p(planted).any()
+        assert_filter_matches_scalar(np.concatenate([planted, draw(m)]))
+
+
+def test_multiples_of_the_prime_all_go_to_confirmation(monkeypatch):
+    # every entry divisible by p: the filter proves nothing, the answer stays exact
+    rng = np.random.default_rng(500)
+    mats = P * rng.integers(-3, 4, size=(200, 10, 10))
+    mats[:50, 9] = mats[:50, 0]
+    want = sum(_det_rows(mat.tolist()) == 0 for mat in mats)
+    confirm = intmat.singularity._det_rows
+    calls = []
+    monkeypatch.setattr(intmat.singularity, "_det_rows", lambda a: calls.append(a) or confirm(a))
+    assert not nonsingular_mod_p(mats).any()
+    assert _count_singular(mats, False) == want >= 50
+    assert len(calls) == 200
+
+
+def test_filter_takes_int16_batches_off_the_guard():
+    # uniform draws below 2**11 come as int16, also past the expansion's guard
+    rng = np.random.default_rng(501)
+    mats = rng.integers(-100, 101, size=(300, 8, 8)).astype(np.int16)
+    mats[:100, 7] = mats[:100, 3]
+    mats[100:110, :, 0] = -32768  # int16's lowest value
+    assert not batch_det_fits_int64(8, 100)
+    assert_filter_matches_scalar(mats)
+
+
+@pytest.mark.parametrize("n, scale", [(10, P), (4, 2**40)])
+def test_scale_does_not_change_singularity(n, scale):
+    # a law scaled by c draws the same support indices, and c * M is singular
+    # iff M is; at scale p every matrix takes the exact confirmation
+    def hits(c):
+        pmf = [Fraction(1, 4), Fraction(1, 2), Fraction(1, 4)]
+        return mc_singularity(n, EntryDistribution.custom([-c, 0, c], pmf), 2000, Seed(3)).hits
+
+    assert hits(scale) == hits(1) > 0
 
 
 def test_monotone_in_n_and_m_beyond_ci_overlap():

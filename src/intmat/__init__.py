@@ -2,113 +2,3 @@
 over small integer alphabets."""
 
 __version__ = "0.1.0"
-
-from .errors import (
-    BudgetExceededError,
-    DimensionError,
-    DomainError,
-    FitError,
-    GenerationError,
-)
-from .linalg import IntMatrix, RationalVector, det, is_singular, kernel_basis, rank
-from .sampling import (
-    EntryDistribution,
-    Seed,
-    sample_matrix,
-    sample_vector,
-    vempala_sum_distribution,
-)
-from .singularity import (
-    EstimateReport,
-    ExponentFit,
-    exact_singular_fraction,
-    fit_exponent,
-    lower_bound,
-    mc_singularity,
-    schwartz_zippel_bound,
-    wilson_interval,
-)
-from .mds import (
-    GenerationReport,
-    MdsVerdict,
-    generate_mds,
-    is_mds,
-    pigeonhole_min_alphabet,
-)
-from .geometry import (
-    LcdParams,
-    LcdScanResult,
-    RealVector,
-    fractional_part,
-    is_compressible,
-    lcd_scan,
-    lcd_witness,
-    normal_vector,
-    normalize,
-    random_unit_vector,
-    sparse_residual,
-    spectral_norm,
-    spread_check,
-)
-from .charfunc import (
-    CharFuncParams,
-    F_eval,
-    G_eval,
-    SmallBallReport,
-    charfn_modulus,
-    esseen_integral,
-    small_ball_probe,
-)
-
-__all__ = [
-    "__version__",
-    "BudgetExceededError",
-    "DimensionError",
-    "DomainError",
-    "FitError",
-    "GenerationError",
-    "IntMatrix",
-    "RationalVector",
-    "det",
-    "rank",
-    "is_singular",
-    "kernel_basis",
-    "EntryDistribution",
-    "Seed",
-    "sample_matrix",
-    "sample_vector",
-    "vempala_sum_distribution",
-    "EstimateReport",
-    "ExponentFit",
-    "mc_singularity",
-    "exact_singular_fraction",
-    "lower_bound",
-    "schwartz_zippel_bound",
-    "fit_exponent",
-    "wilson_interval",
-    "MdsVerdict",
-    "GenerationReport",
-    "is_mds",
-    "generate_mds",
-    "pigeonhole_min_alphabet",
-    "RealVector",
-    "LcdParams",
-    "LcdScanResult",
-    "normalize",
-    "normal_vector",
-    "sparse_residual",
-    "is_compressible",
-    "fractional_part",
-    "lcd_witness",
-    "lcd_scan",
-    "spread_check",
-    "spectral_norm",
-    "random_unit_vector",
-    "CharFuncParams",
-    "F_eval",
-    "G_eval",
-    "charfn_modulus",
-    "esseen_integral",
-    "small_ball_probe",
-    "SmallBallReport",
-]

@@ -37,6 +37,10 @@ ETA = 0.8
 # single-threaded bits at 1 and 2 threads, and 1,024 rows stay in cache.
 _PROJECT_ROWS = 1024
 
+# Relative tolerance of the adaptive Simpson refinement in `phi_integral`,
+# shared out over its panels.
+_REL_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class CharFuncParams:
@@ -129,7 +133,7 @@ def _adaptive_simpson(f, a, b, fa, fm, fb, whole, tol, depth):
     )
 
 
-def phi_integral(x, m: int, t_max: float, rel_tol: float = 1e-6) -> float:
+def phi_integral(x, m: int, t_max: float) -> float:
     """integral over [0, t_max] of prod_k F(x_k*t/(2*pi*m)).
 
     Initial panels are sized to the oscillation scale of the fastest
@@ -154,7 +158,7 @@ def phi_integral(x, m: int, t_max: float, rel_tol: float = 1e-6) -> float:
     scalar = lambda t: float(np.prod(f_grid(xs * t / (2.0 * math.pi * m), m)))
     out = 0.0
     for i in range(panels):
-        tol = rel_tol * total_coarse * max(float(coarse[i]) / total_coarse, 1.0 / panels)
+        tol = _REL_TOL * total_coarse * max(float(coarse[i]) / total_coarse, 1.0 / panels)
         out += _adaptive_simpson(
             scalar,
             float(edges[i]),
@@ -169,7 +173,7 @@ def phi_integral(x, m: int, t_max: float, rel_tol: float = 1e-6) -> float:
     return out
 
 
-def esseen_integral(x, m: int, epsilon: float, rel_tol: float = 1e-6) -> float:
+def esseen_integral(x, m: int, epsilon: float) -> float:
     """epsilon * integral_{-1/eps}^{1/eps} |phi_Y(t)| dt, numerically.
 
     The unspecified universal prefactor of the small-ball inequality is
@@ -180,7 +184,7 @@ def esseen_integral(x, m: int, epsilon: float, rel_tol: float = 1e-6) -> float:
     if m < 1:
         raise DomainError("m must be >= 1")
     # |phi| is even, so integrate one side and double
-    return epsilon * 2.0 * phi_integral(x, m, 1.0 / epsilon, rel_tol)
+    return epsilon * 2.0 * phi_integral(x, m, 1.0 / epsilon)
 
 
 @dataclass(frozen=True)

@@ -14,19 +14,14 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from fractions import Fraction
 
 from . import __version__
 from .charfunc import ETA, G_eval, f_grid, small_ball_probe
-from .errors import (
-    BudgetExceededError,
-    DimensionError,
-    DomainError,
-    FitError,
-    GenerationError,
-)
+from .errors import BudgetExceededError, DomainError, GenerationError
 from .formats import format_vector, read_matrix, read_vector, write_matrix
 from .geometry import (
     LcdParams,
@@ -49,8 +44,15 @@ from .singularity import (
 
 import numpy as np
 
-# Largest `charfunc --grid`: grid+1 points are tabulated and written out.
+# Largest `charfunc --grid` (grid+1 points are tabulated and written out)
+# and most grid points of an `lcd` scan, --dmax / --step.
 MAX_GRID = 1 << 20
+
+# Largest `estimate --n`: an n x n matrix fits one draw sub-batch.
+MAX_ESTIMATE_N = math.isqrt(_DRAW_BATCH)
+
+# Largest --threads or INTMAT_THREADS; the CPU count is capped at it.
+MAX_THREADS = 256
 
 
 def _seeded_config(command: str, seed: Seed, fmt: str, output_path: str | None = None) -> dict:
@@ -101,18 +103,20 @@ def _human(v) -> str:
 
 def _resolve_threads(args) -> int:
     """--threads, else INTMAT_THREADS, else the number of CPUs this process
-    may run on."""
+    may run on, at most MAX_THREADS."""
     threads = getattr(args, "threads", None)
     if threads is None:
         env = os.environ.get("INTMAT_THREADS")
         if env is not None:
             threads = int(env)
         elif hasattr(os, "sched_getaffinity"):  # not on every platform
-            threads = len(os.sched_getaffinity(0))
+            threads = min(len(os.sched_getaffinity(0)), MAX_THREADS)
         else:
-            threads = os.cpu_count() or 1
+            threads = min(os.cpu_count() or 1, MAX_THREADS)
     if threads < 1:
         raise DomainError("threads must be >= 1")
+    if threads > MAX_THREADS:
+        raise DomainError(f"threads must be <= {MAX_THREADS}")
     return threads
 
 
@@ -136,6 +140,8 @@ def _dist_from(args) -> EntryDistribution:
 
 
 def _cmd_estimate(args, out) -> int:
+    if args.n > MAX_ESTIMATE_N:
+        raise DomainError(f"n must be <= {MAX_ESTIMATE_N}")
     seed = _seed_from(args)
     dist = _dist_from(args)
     threads = _resolve_threads(args)
@@ -243,6 +249,10 @@ def _cmd_mds_generate(args, out) -> int:
 
 
 def _cmd_lcd(args, out) -> int:
+    if not (math.isfinite(args.dmax) and math.isfinite(args.step)):
+        raise DomainError("dmax and step must be finite")
+    if args.step > 0 and args.dmax > MAX_GRID * args.step:
+        raise DomainError(f"dmax / step must be <= {MAX_GRID}")
     vec = read_vector(args.input)
     params = LcdParams(alpha=args.alpha, beta=args.beta)
     result = lcd_scan(vec, params, d_max=args.dmax, grid_step=args.step)
@@ -355,6 +365,8 @@ def _cmd_smallball(args, out) -> int:
 def _cmd_normal_vector(args, out) -> int:
     if args.m < 1:
         raise DomainError("m must be >= 1")
+    if args.digits < 1:
+        raise DomainError("digits must be >= 1")
     matrix = read_matrix(args.input)
     vec = normal_vector(matrix)
     out.write(format_vector(vec, digits=args.digits))
@@ -474,7 +486,7 @@ def main(argv=None) -> int:
     except (BudgetExceededError, GenerationError) as exc:
         sys.stderr.write(f"intmat: {exc}\n")
         return 2
-    except (DomainError, DimensionError, FitError, OSError, KeyError, ValueError) as exc:
+    except (OSError, KeyError, ValueError) as exc:
         sys.stderr.write(f"intmat: {exc}\n")
         return 1
 

@@ -10,10 +10,9 @@ separated; written one per line).
 from __future__ import annotations
 
 import os
-from typing import TextIO
 
 from .errors import DimensionError
-from .geometry import RealVector
+from .geometry import PRECISION, RealVector
 from .linalg import IntMatrix
 
 
@@ -44,15 +43,12 @@ def read_matrix(path: str | os.PathLike) -> IntMatrix:
         return parse_matrix(fh.read())
 
 
-def write_matrix(m: IntMatrix, path: str | os.PathLike | TextIO) -> None:
-    if hasattr(path, "write"):
-        path.write(format_matrix(m))
-        return
+def write_matrix(m: IntMatrix, path: str | os.PathLike) -> None:
     with open(path, "w", encoding="ascii") as fh:
         fh.write(format_matrix(m))
 
 
-def parse_vector(text: str, precision: int = 128) -> RealVector:
+def parse_vector(text: str) -> RealVector:
     tokens = text.split()
     if not tokens:
         raise DimensionError("vector file must start with its length")
@@ -63,27 +59,23 @@ def parse_vector(text: str, precision: int = 128) -> RealVector:
     values = tokens[1:]
     if len(values) != n:
         raise DimensionError(f"vector file declares {n} entries but carries {len(values)}")
-    return RealVector.from_values(values, precision)
+    return RealVector.from_values(values)
 
 
 def format_vector(v: RealVector, digits: int = 36) -> str:
     import mpmath
 
     lines = [str(len(v))]
-    with mpmath.workprec(v.precision):
+    with mpmath.workprec(PRECISION):
         lines.extend(mpmath.nstr(e, digits) for e in v.entries)
     return "\n".join(lines) + "\n"
 
 
-def read_vector(path: str | os.PathLike, precision: int = 128) -> RealVector:
+def read_vector(path: str | os.PathLike) -> RealVector:
     with open(path, "r", encoding="ascii") as fh:
-        return parse_vector(fh.read(), precision)
+        return parse_vector(fh.read())
 
 
-def write_vector(v: RealVector, path: str | os.PathLike | TextIO, digits: int = 36) -> None:
-    text = format_vector(v, digits)
-    if hasattr(path, "write"):
-        path.write(text)
-        return
+def write_vector(v: RealVector, path: str | os.PathLike, digits: int = 36) -> None:
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(text)
+        fh.write(format_vector(v, digits))

@@ -1,13 +1,13 @@
 """Real-vector diagnostics at extended precision: compressibility, the
 least-common-denominator (LCD) scan, spread and spectral-norm probes.
 
-Vectors are mpmath reals at a fixed precision (default 128 mantissa bits),
-and compressibility, spread and every LCD witness are decided on them. The
-LCD scan evaluates its whole grid in float64 first and decides a grid point
-there only when the residual clears the bound by a certified rounding
-margin; points inside the margin, and the certificate, are computed in
-mpmath. The spectral-norm probe, whose contract is only 1e-6 accuracy,
-runs in float64.
+Vectors are mpmath reals, and every mpmath step works at one fixed
+precision, PRECISION = 128 mantissa bits. Compressibility, spread and every
+LCD witness are decided on these reals. The LCD scan evaluates its whole
+grid in float64 first and decides a grid point there only when the residual
+clears the bound by a certified rounding margin; points inside the margin,
+and the certificate, are computed in mpmath. The spectral-norm probe, whose
+contract is only 1e-6 accuracy, runs in float64.
 """
 
 from __future__ import annotations
@@ -24,41 +24,38 @@ from .errors import DimensionError, DomainError
 from .linalg import IntMatrix, RationalVector, kernel_basis
 from .sampling import Seed, generator
 
-DEFAULT_PRECISION = 128
+PRECISION = 128
 _UNIT_NORM_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class RealVector:
-    """Extended-precision real vector (mpmath entries, fixed precision)."""
+    """Extended-precision real vector (mpmath entries at PRECISION bits)."""
 
     entries: tuple
-    precision: int = DEFAULT_PRECISION
 
     def __post_init__(self):
         if not self.entries:
             raise DimensionError("empty vector")
-        if self.precision < 64:
-            raise DomainError("precision must be at least 64 bits")
         if not all(mpmath.isfinite(e) for e in self.entries):
             raise DomainError("entries must be finite")
 
     @classmethod
-    def from_values(cls, values, precision: int = DEFAULT_PRECISION) -> "RealVector":
-        with workprec(precision):
+    def from_values(cls, values) -> "RealVector":
+        with workprec(PRECISION):
             conv = []
             for v in values:
                 if isinstance(v, Fraction):
                     conv.append(mpf(v.numerator) / v.denominator)
                 else:
                     conv.append(mpf(v))
-        return cls(tuple(conv), precision)
+        return cls(tuple(conv))
 
     def __len__(self) -> int:
         return len(self.entries)
 
     def norm(self):
-        with workprec(self.precision):
+        with workprec(PRECISION):
             return mpmath.sqrt(mpmath.fsum(e * e for e in self.entries))
 
     def to_floats(self) -> list[float]:
@@ -113,23 +110,19 @@ class LcdScanResult:
         return math.isfinite(self.lcd_upper)
 
 
-def normalize(v, precision: int = DEFAULT_PRECISION) -> RealVector:
-    """v / ||v||_2 at working precision."""
+def normalize(v) -> RealVector:
+    """v / ||v||_2 at PRECISION bits."""
     if isinstance(v, RationalVector):
-        vec = RealVector.from_values(v.entries, precision)
-    elif isinstance(v, RealVector):
-        vec = v
-        precision = v.precision
-    else:
-        vec = RealVector.from_values(v, precision)
-    with workprec(precision):
+        v = v.entries
+    vec = v if isinstance(v, RealVector) else RealVector.from_values(v)
+    with workprec(PRECISION):
         nrm = vec.norm()
         if nrm == 0:
             raise DomainError("cannot normalize the zero vector")
-        return RealVector(tuple(e / nrm for e in vec.entries), precision)
+        return RealVector(tuple(e / nrm for e in vec.entries))
 
 
-def normal_vector(rows: IntMatrix, precision: int = DEFAULT_PRECISION) -> RealVector:
+def normal_vector(rows: IntMatrix) -> RealVector:
     """Deterministic unit kernel vector of a stack of integer rows.
 
     The kernel is computed exactly on the integer matrix (scaling the rows
@@ -139,7 +132,7 @@ def normal_vector(rows: IntMatrix, precision: int = DEFAULT_PRECISION) -> RealVe
     basis = kernel_basis(rows)
     if not basis:
         raise DomainError("rows have full column rank; no normal vector exists")
-    return normalize(basis[0], precision)
+    return normalize(basis[0])
 
 
 def _unit_check(x: RealVector):
@@ -158,7 +151,7 @@ def sparse_residual(x: RealVector, s: int):
         raise DomainError(f"sparsity s must lie in [0, {n}]")
     if s == n:
         return mpf(0)
-    with workprec(x.precision):
+    with workprec(PRECISION):
         mags = sorted((abs(e) for e in x.entries), reverse=True)
         return mpmath.sqrt(mpmath.fsum(e * e for e in mags[s:]))
 
@@ -167,7 +160,7 @@ def is_compressible(x: RealVector, p: LcdParams) -> bool:
     """Whether x is within l2 distance beta of a floor(alpha*n)-sparse vector."""
     _unit_check(x)
     s = p.sparsity_count(len(x))
-    with workprec(x.precision):
+    with workprec(PRECISION):
         return sparse_residual(x, s) <= mpf(p.beta)
 
 
@@ -184,18 +177,16 @@ def lcd_witness(x: RealVector, d, p: LcdParams) -> bool:
     if not d > 0:
         raise DomainError("D must be positive")
     s = p.sparsity_count(len(x))
-    with workprec(x.precision):
+    with workprec(PRECISION):
         dd = mpf(d)
-        frac = RealVector(
-            tuple(fractional_part(dd * e) for e in x.entries), x.precision
-        )
+        frac = RealVector(tuple(fractional_part(dd * e) for e in x.entries))
         bound = mpf(p.beta) * min(dd, mpmath.sqrt(len(x)))
         return sparse_residual(frac, s) <= bound
 
 
 def _witness_certificate(x: RealVector, d: float, p: LcdParams) -> LcdCertificate:
     s = p.sparsity_count(len(x))
-    with workprec(x.precision):
+    with workprec(PRECISION):
         dd = mpf(d)
         frac = [fractional_part(dd * e) for e in x.entries]
         # largest magnitudes first, index as deterministic tiebreak
@@ -225,7 +216,7 @@ def _float_margin(d: np.ndarray, n: int) -> np.ndarray:
     Squaring and summing n - s terms, then the square root, add a relative
     error of at most (n + 2) * u / 2 to a residual that is at most
     sqrt(n)/2: at most n**1.5 * u. The float bound is off by at most
-    sqrt(n) * 2u. The mpmath side, at >= 64 bits, is off by under
+    sqrt(n) * 2u. The mpmath side, at PRECISION = 128 bits, is off by under
     (D + sqrt(n)) * 2**-61.
 
     The margin is 4x the total: a term D * 2**-50 relative to D, and an
@@ -286,7 +277,7 @@ def spread_check(x: RealVector, alpha: float, gamma: float) -> bool:
     an = Fraction(alpha) * n
     if an <= 1:
         raise DomainError("alpha * n must exceed 1")
-    with workprec(x.precision):
+    with workprec(PRECISION):
         thresh = 1 / mpmath.sqrt(mpf(an.numerator) / an.denominator - 1)
         small = [e for e in x.entries if abs(e) <= thresh]
         if not small:
@@ -306,7 +297,7 @@ def spectral_norm(r: IntMatrix, scale_m: int) -> float:
     return float(np.linalg.norm(a, 2))
 
 
-def random_unit_vector(n: int, seed: Seed, precision: int = DEFAULT_PRECISION) -> RealVector:
+def random_unit_vector(n: int, seed: Seed) -> RealVector:
     """Uniform random direction: normalized Gaussian sample."""
     if n < 1:
         raise DomainError("n must be >= 1")
@@ -314,4 +305,4 @@ def random_unit_vector(n: int, seed: Seed, precision: int = DEFAULT_PRECISION) -
     while True:
         g = gen.standard_normal(n)
         if np.linalg.norm(g) > 1e-6:
-            return normalize(RealVector.from_values(g.tolist(), precision))
+            return normalize(g.tolist())

@@ -1,9 +1,9 @@
 """Exact integer/rational linear algebra: determinant, rank, kernel.
 
-Everything here is exact. Determinants use fraction-free (Bareiss)
-elimination on Python integers, so there is no rounding anywhere and no
-rational blow-up during the forward pass. Rank comes from the same
-fraction-free echelon form.
+Everything here is exact. Determinant, rank and the kernel fallback share
+one fraction-free (Bareiss) elimination on Python integers, `_echelon`, so
+there is no rounding anywhere and no rational blow-up during the forward
+pass.
 
 `kernel_basis` has two exact paths. A (c-1) x c matrix of rank c-1 (the
 normal vector of c-1 rows) is solved by p-adic lifting modulo one prime;
@@ -149,38 +149,13 @@ def det(m: IntMatrix) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination."""
     if not m.is_square:
         raise DimensionError(f"determinant needs a square matrix, got {m.rows}x{m.cols}")
-    return _det_rows([list(m.row(i)) for i in range(m.rows)])
+    return _det_rows(m.to_lists())
 
 
 def _det_rows(a: list[list[int]]) -> int:
-    n = len(a)
-    if n == 1:
-        return a[0][0]
-    if n == 2:
-        return a[0][0] * a[1][1] - a[0][1] * a[1][0]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        piv = a[k][k]
-        for i in range(k + 1, n):
-            aik = a[i][k]
-            row_i = a[i]
-            row_k = a[k]
-            for j in range(k + 1, n):
-                # Bareiss two-term update; division by the previous pivot
-                # is exact (entries stay k-minors of the input).
-                row_i[j] = (piv * row_i[j] - aik * row_k[j]) // prev
-            row_i[k] = 0
-        prev = piv
-    return sign * a[n - 1][n - 1]
+    """det of square integer rows, in place: `_echelon`'s signed last entry."""
+    sign, _ = _echelon(a)
+    return sign * a[-1][-1]
 
 
 def det_mod(m: IntMatrix, p: int) -> int:
@@ -213,30 +188,31 @@ def is_singular(m: IntMatrix) -> bool:
     return det(m) == 0
 
 
-def _echelon(m: IntMatrix):
-    """Fraction-free row echelon form.
-
-    Returns (rows, pivots) where rows is the eliminated integer matrix and
-    pivots is a list of (row, col) positions, first nonzero pivot in column
-    order. Exact over the rationals: the echelon rows are integer
-    left-multiples of the RREF rows.
-    """
-    a = [list(m.row(i)) for i in range(m.rows)]
-    nrows, ncols = m.rows, m.cols
+def _echelon(a: list[list[int]]) -> tuple[int, list[tuple[int, int]]]:
+    """Bareiss's fraction-free elimination (Math. Comp. 22, 1968) of integer
+    rows a, in place, to row echelon form: the one loop behind `det`, `rank`
+    and the `kernel_basis` fallback. Returns (sign, pivots): sign is
+    (-1)**(row swaps), pivots the (row, col) pivot positions in column
+    order. Each update divides by the previous pivot exactly, so every entry
+    stays a minor of a; rows past the rank end up zero, and the last entry of
+    a square a ends up det(a) * sign."""
+    nrows, ncols = len(a), len(a[0])
     pivots: list[tuple[int, int]] = []
-    prev = 1
-    p = 0
+    sign, prev, p = 1, 1, 0
     for col in range(ncols):
-        piv_row = next((i for i in range(p, nrows) if a[i][col] != 0), None)
-        if piv_row is None:
-            continue
-        if piv_row != p:
-            a[p], a[piv_row] = a[piv_row], a[p]
+        if a[p][col] == 0:
+            for i in range(p + 1, nrows):
+                if a[i][col] != 0:
+                    a[p], a[i] = a[i], a[p]
+                    sign = -sign
+                    break
+            else:
+                continue
         piv = a[p][col]
+        row_p = a[p]
         for i in range(p + 1, nrows):
-            aic = a[i][col]
             row_i = a[i]
-            row_p = a[p]
+            aic = row_i[col]
             for j in range(col + 1, ncols):
                 row_i[j] = (piv * row_i[j] - aic * row_p[j]) // prev
             row_i[col] = 0
@@ -245,12 +221,12 @@ def _echelon(m: IntMatrix):
         p += 1
         if p == nrows:
             break
-    return a, pivots
+    return sign, pivots
 
 
 def rank(m: IntMatrix) -> int:
     """Exact rank over the rationals."""
-    _, pivots = _echelon(m)
+    _, pivots = _echelon(m.to_lists())
     return len(pivots)
 
 
@@ -275,7 +251,8 @@ def kernel_basis(m: IntMatrix) -> list[RationalVector]:
         x = _lifted_kernel(m)
         if x is not None:
             return [_canonical(x)]
-    a, pivots = _echelon(m)
+    a = m.to_lists()
+    _, pivots = _echelon(a)
     pivot_cols = [c for _, c in pivots]
     free_cols = [c for c in range(m.cols) if c not in pivot_cols]
     basis = []

@@ -28,6 +28,20 @@ from .sampling import EntryDistribution, Seed, generator
 MINOR_BUDGET = 1 << 16
 
 
+def _minor_count(k: int, n: int) -> int:
+    """C(n, k), the widest level of `maximal_minors` on either side of a
+    k x n matrix; raises BudgetExceededError when it exceeds MINOR_BUDGET."""
+    total = math.comb(n, k)
+    if total > MINOR_BUDGET:
+        raise BudgetExceededError(
+            f"verifying a {k}x{n} matrix holds {total} minors at once,"
+            f" over the budget of {MINOR_BUDGET}",
+            required=total,
+            budget=MINOR_BUDGET,
+        )
+    return total
+
+
 @dataclass(frozen=True)
 class MdsVerdict:
     """Outcome of a full minor scan.
@@ -70,20 +84,12 @@ def is_mds(m: IntMatrix) -> MdsVerdict:
     costs one `det` and is skipped. When k = n, or when the kernel is wider
     than n-k (rank below k: every minor is zero), every minor is a
     candidate, so the first `det` decides. Raises BudgetExceededError
-    before allocating when C(n, k), the widest level of either side,
-    exceeds MINOR_BUDGET.
+    before allocating (`_minor_count`).
     """
     k, n = m.rows, m.cols
     if k > n:
         raise DimensionError(f"need k <= n, got {k}x{n}")
-    total = math.comb(n, k)
-    if total > MINOR_BUDGET:
-        raise BudgetExceededError(
-            f"verifying a {k}x{n} matrix holds {total} minors at once,"
-            f" over the budget of {MINOR_BUDGET}",
-            required=total,
-            budget=MINOR_BUDGET,
-        )
+    total = _minor_count(k, n)
     if 2 * k <= n:
         residues = maximal_minors(m)
     elif k < n and len(kernel := kernel_basis(m)) == n - k:
@@ -113,12 +119,14 @@ def generate_mds(
     with probability below 1/2. Attempts run sequentially off a single
     generator stream so the result is reproducible from the seed alone.
     Raises GenerationError (with the attempt count and last witness) after
-    max_attempts failed attempts.
+    max_attempts failed attempts, and BudgetExceededError before the first
+    draw when `is_mds` could not verify a k x n matrix (`_minor_count`).
     """
     if k > n:
         raise DimensionError(f"need k <= n, got k={k}, n={n}")
     if max_attempts < 1:
         raise DomainError("max_attempts must be >= 1")
+    _minor_count(k, n)
     if m is None:
         m = default_generation_m(k, n)
     if m < 1:

@@ -71,20 +71,12 @@ def rref_kernel(rows):
 
 
 def kernel_basis_oracle(m):
-    """The library's former kernel_basis: Bareiss echelon, then a Fraction
-    back substitution per free column, each vector integer-cleared, reduced
-    by its content and given a positive leading coordinate."""
-    from intmat.linalg import RationalVector, _echelon
+    """kernel_basis from `rref_kernel`: each vector cleared to integers,
+    reduced by its content and given a positive leading coordinate."""
+    from intmat.linalg import RationalVector
 
-    a, pivots = _echelon(m)
-    pivot_cols = [c for _, c in pivots]
     basis = []
-    for f in (c for c in range(m.cols) if c not in pivot_cols):
-        x = [Fraction(0)] * m.cols
-        x[f] = Fraction(1)
-        for r, c in reversed(pivots):
-            s = sum((Fraction(a[r][j]) * x[j] for j in range(c + 1, m.cols) if x[j]), Fraction(0))
-            x[c] = -s / a[r][c]
+    for x in rref_kernel(m.to_lists()):
         denom = math.lcm(*(v.denominator for v in x))
         ints = [int(v * denom) for v in x]
         content = math.gcd(*ints)

@@ -13,6 +13,7 @@ import pytest
 import intmat
 from intmat import cli
 from intmat.cli import main
+from intmat.errors import DomainError
 from intmat.formats import read_matrix, write_matrix
 from intmat.linalg import IntMatrix
 from intmat.mds import is_mds
@@ -272,6 +273,44 @@ def test_smallball_n_over_the_draw_cap_exit_1(capsys, monkeypatch):
         assert err == f"intmat: n must lie in [1, {cli._DRAW_BATCH}]\n"
 
 
+def test_estimate_n_over_the_draw_cap_exit_1(capsys, monkeypatch):
+    # one matrix is drawn whole, so its n**2 entries must fit one sub-batch
+    assert cli.MAX_ESTIMATE_N**2 <= cli._DRAW_BATCH < (cli.MAX_ESTIMATE_N + 1) ** 2
+    monkeypatch.setattr(cli, "mc_singularity", _refuse)
+    for n in (cli.MAX_ESTIMATE_N + 1, 10**12):
+        code, out, err = run(capsys, ["estimate", "--n", str(n), "--m", "1",
+                                      "--trials", "10", "--seed", "1"])
+        assert code == 1 and out == ""
+        assert err == f"intmat: n must be <= {cli.MAX_ESTIMATE_N}\n"
+
+
+def _lcd_argv(tmp_path, dmax, step):
+    vec = tmp_path / "v.txt"
+    vec.write_text("2\n0.6\n0.8\n")
+    return ["lcd", "--input", str(vec), "--alpha", "0.2", "--beta", "0.1",
+            f"--dmax={dmax}", f"--step={step}"]
+
+
+def test_lcd_non_finite_dmax_or_step_exit_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "read_vector", _refuse)
+    for dmax, step in (("inf", "0.5"), ("-inf", "0.5"), ("nan", "0.5"), ("8", "nan"),
+                       ("inf", "inf")):
+        code, out, err = run(capsys, _lcd_argv(tmp_path, dmax, step))
+        assert code == 1 and out == ""
+        assert err == "intmat: dmax and step must be finite\n"
+
+
+def test_lcd_over_the_grid_cap_exit_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "read_vector", _refuse)
+    for dmax, step in ((str(2.0 * cli.MAX_GRID), "1"), ("1e300", "1e-300")):
+        code, out, err = run(capsys, _lcd_argv(tmp_path, dmax, step))
+        assert code == 1 and out == ""
+        assert err == f"intmat: dmax / step must be <= {cli.MAX_GRID}\n"
+    # MAX_GRID points exactly pass the check
+    with pytest.raises(AssertionError, match="validation must run before this"):
+        main(_lcd_argv(tmp_path, str(cli.MAX_GRID * 0.5), "0.5"))
+
+
 def test_lcd_and_compress_commands(tmp_path, capsys):
     n = 16
     vec = tmp_path / "v.txt"
@@ -336,6 +375,26 @@ def test_normal_vector_m_is_checked_but_does_not_change_the_output(tmp_path, cap
     assert err == "intmat: m must be >= 1\n"
 
 
+def test_normal_vector_digits_below_one_exit_1(tmp_path, capsys, monkeypatch):
+    # --digits 0 once printed ".0e-1" and exited 0
+    monkeypatch.setattr(cli, "read_matrix", _refuse)
+    for digits in ("0", "-3"):
+        code, out, err = run(capsys, ["normal-vector", "--input", str(tmp_path / "rows.txt"),
+                                      "--digits", digits])
+        assert code == 1 and out == ""
+        assert err == "intmat: digits must be >= 1\n"
+
+
+def test_import_intmat_loads_neither_numpy_nor_mpmath():
+    probe = ("import sys; before = set(sys.modules); import intmat; "
+             "print(sorted({m.split('.')[0] for m in set(sys.modules) - before}"
+             " & {'numpy', 'mpmath'}))")
+    env = dict(os.environ, PYTHONPATH=str(Path(intmat.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+
 def test_missing_file_exit_1(capsys):
     code, _, err = run(capsys, ["mds", "verify", "--input", "/nonexistent/x.txt"])
     assert code == 1
@@ -368,6 +427,21 @@ def test_threads_default_to_usable_cpus(monkeypatch):
     assert cli._resolve_threads(argparse.Namespace(threads=None)) == 3
     monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
     assert cli._resolve_threads(argparse.Namespace(threads=None)) == 1
+
+
+def test_threads_over_the_cap(monkeypatch):
+    # in-process on the resolver: no pool is started
+    over = cli.MAX_THREADS + 1
+    assert cli._resolve_threads(argparse.Namespace(threads=cli.MAX_THREADS)) == cli.MAX_THREADS
+    with pytest.raises(DomainError, match=f"threads must be <= {cli.MAX_THREADS}"):
+        cli._resolve_threads(argparse.Namespace(threads=over))
+    monkeypatch.setenv("INTMAT_THREADS", str(over))
+    with pytest.raises(DomainError, match=f"threads must be <= {cli.MAX_THREADS}"):
+        cli._resolve_threads(argparse.Namespace(threads=None))
+    # the usable CPUs are capped, not refused
+    monkeypatch.delenv("INTMAT_THREADS")
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(over)), raising=False)
+    assert cli._resolve_threads(argparse.Namespace(threads=None)) == cli.MAX_THREADS
 
 
 def test_smallball_threads_zero_exit_1(capsys):

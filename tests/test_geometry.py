@@ -25,8 +25,8 @@ from intmat.sampling import EntryDistribution, Seed, generator
 from oracles import brute_sparse_residual, lcd_scan_oracle, top_singular_value_2x2
 
 
-def unit(values, precision=128):
-    return normalize(RealVector.from_values(values, precision))
+def unit(values):
+    return normalize(RealVector.from_values(values))
 
 
 def test_normalize_3_4_5():
@@ -58,7 +58,7 @@ def test_normalized_kernel_residual():
             continue
         found += 1
         x = normalize(basis[0])
-        with mpmath.workprec(x.precision):
+        with mpmath.workprec(geometry.PRECISION):
             for i in range(4):
                 dot = mpmath.fsum(int(rows[i][j]) * x.entries[j] for j in range(5))
                 assert abs(dot) <= mpmath.mpf(2) ** -64
@@ -76,7 +76,7 @@ def test_normal_vector_orthogonal_to_rows():
         rows = rng.integers(-8, 9, size=(5, 6)).tolist()
         m = IntMatrix.from_rows(rows)
         x = normal_vector(m)
-        with mpmath.workprec(x.precision):
+        with mpmath.workprec(geometry.PRECISION):
             for row in rows:
                 dot = mpmath.fsum(int(a) * e for a, e in zip(row, x.entries))
                 assert abs(dot) <= mpmath.mpf(2) ** -64
@@ -400,9 +400,7 @@ def test_spectral_tail_probe():
 
 def test_real_vector_validation():
     with pytest.raises(DomainError):
-        RealVector.from_values([1.0], precision=32)
-    with pytest.raises(DomainError):
-        RealVector((mpmath.mpf("inf"),), 128)
+        RealVector((mpmath.mpf("inf"),))
     with pytest.raises(DomainError):
         LcdParams(alpha=0.0, beta=0.5)
 

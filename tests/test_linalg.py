@@ -50,6 +50,22 @@ def test_det_matches_cofactor_oracle_random_5x5():
         assert det(m) == cofactor_det(m.to_lists())
 
 
+def test_det_zero_leading_pivots_match_cofactor_oracle():
+    # a zero top-left block, its rows shuffled: zero pivots force row swaps,
+    # whose signs the swap-free cofactor expansion checks
+    rng = np.random.default_rng(14)
+    swapped = 0
+    for n in range(2, 7):
+        for _ in range(60):
+            a = rng.integers(-3, 4, size=(n, n))
+            a[: rng.integers(1, n + 1), : rng.integers(1, n)] = 0
+            rows = a[rng.permutation(n)].tolist()
+            want = cofactor_det(rows)
+            assert det(IntMatrix.from_rows(rows)) == want, rows
+            swapped += rows[0][0] == 0 and want != 0
+    assert swapped > 50
+
+
 def test_det_duplicated_row_is_zero():
     rng = np.random.default_rng(12)
     for _ in range(100):

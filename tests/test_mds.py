@@ -163,6 +163,18 @@ def test_minor_budget_fails_before_allocating(monkeypatch):
     assert str(comb(30, 10)) in str(err.value)
 
 
+def test_generate_checks_the_minor_budget_before_drawing(monkeypatch):
+    def no_draw(seed):
+        raise AssertionError("the budget must be checked before the first draw")
+
+    monkeypatch.setattr(mds, "generator", no_draw)
+    with pytest.raises(BudgetExceededError) as err:
+        generate_mds(1, 10**8)
+    assert err.value.required == 10**8 and err.value.budget == MINOR_BUDGET
+    with pytest.raises(BudgetExceededError):
+        generate_mds(10, 30, m=1)
+
+
 def _no_expansion(m):
     raise AssertionError("maximal_minors must not run: the first det decides")
 

@@ -42,43 +42,14 @@ _PROJECT_ROWS = 1024
 _REL_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class CharFuncParams:
-    """Direction, alphabet parameter and envelope constant bundle."""
-
-    m: int
-    x: RealVector
-    eta: float = ETA
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise DomainError("m must be >= 1")
-        if self.eta <= 0:
-            raise DomainError("eta must be positive")
-        if abs(float(self.x.norm()) - 1.0) > 1e-9:
-            raise DomainError("direction must be a unit vector")
-
-
-def F_eval(y: float, m: int) -> float:
-    """|sin((2m+1)*pi*y)| / ((2m+1)*|sin(pi*y)|), with the removable
-    singularity at integer y filled by continuity (value 1)."""
-    if m < 1:
-        raise DomainError("m must be >= 1")
-    yf = float(y)
-    # periodicity + symmetry: reduce to [0, 1/2]; the reduction is exact
-    u = abs(yf - round(yf))
-    s = math.sin(math.pi * u)
-    if s < _SIN_CUTOFF:
-        return 1.0
-    val = abs(math.sin((2 * m + 1) * math.pi * u)) / ((2 * m + 1) * s)
-    return min(val, 1.0)
-
-
 def f_grid(y, m: int) -> np.ndarray:
-    """Vectorized F over an array of arguments."""
+    """F(y) = |sin((2m+1)*pi*y)| / ((2m+1)*|sin(pi*y)|) over an array of
+    arguments, with the removable singularity at integer y filled by
+    continuity (value 1)."""
     if m < 1:
         raise DomainError("m must be >= 1")
     y = np.asarray(y, dtype=np.float64)
+    # periodicity + symmetry: reduce to [0, 1/2]; the reduction is exact
     u = np.abs(y - np.round(y))
     s = np.sin(np.pi * u)
     near = s < _SIN_CUTOFF
@@ -100,16 +71,13 @@ def G_eval(y: float, eta: float = ETA) -> float:
 
 
 def _direction_floats(x) -> np.ndarray:
-    if isinstance(x, RealVector):
-        return np.asarray(x.to_floats())
-    return np.asarray([float(v) for v in x], dtype=np.float64)
+    return np.asarray(x.to_floats() if isinstance(x, RealVector) else x, dtype=np.float64)
 
 
 def charfn_modulus(x, t: float, m: int) -> float:
     """|phi_Y(t)| for Y = <X/m, x>: the product of per-coordinate F factors."""
     xs = _direction_floats(x)
-    ys = xs * (float(t) / (2.0 * math.pi * m))
-    return float(np.prod(f_grid(ys, m)))
+    return float(np.prod(f_grid(xs * float(t) / (2.0 * math.pi * m), m)))
 
 
 def _modulus_on_grid(ts: np.ndarray, xs: np.ndarray, m: int) -> np.ndarray:
@@ -155,12 +123,11 @@ def phi_integral(x, m: int, t_max: float) -> float:
     widths = np.diff(edges)
     coarse = widths / 6.0 * (f_edges[:-1] + 4.0 * f_mids + f_edges[1:])
     total_coarse = max(float(coarse.sum()), 1e-300)
-    scalar = lambda t: float(np.prod(f_grid(xs * t / (2.0 * math.pi * m), m)))
     out = 0.0
     for i in range(panels):
         tol = _REL_TOL * total_coarse * max(float(coarse[i]) / total_coarse, 1.0 / panels)
         out += _adaptive_simpson(
-            scalar,
+            lambda t: charfn_modulus(xs, t, m),
             float(edges[i]),
             float(edges[i + 1]),
             float(f_edges[i]),
@@ -242,7 +209,7 @@ def small_ball_probe(
         return hits
 
     start = time.perf_counter()
-    hits = sum(map_shards(count_shard, trials, threads))
+    hits = map_shards(count_shard, trials, threads)
     elapsed = time.perf_counter() - start
     mc = EstimateReport.from_counts(trials, hits, seed, n, m, elapsed)
     bound = lcd_regime_bound(epsilon, m, n, lcd_params) if lcd_params is not None else None

@@ -35,6 +35,7 @@ from .mds import generate_mds, is_mds
 from .sampling import _DRAW_BATCH, EntryDistribution, Seed
 from .singularity import (
     DEFAULT_ENUM_BUDGET,
+    MAX_THREADS,
     exact_singular_fraction,
     fit_exponent,
     lower_bound,
@@ -50,9 +51,6 @@ MAX_GRID = 1 << 20
 
 # Largest `estimate --n`: an n x n matrix fits one draw sub-batch.
 MAX_ESTIMATE_N = math.isqrt(_DRAW_BATCH)
-
-# Largest --threads or INTMAT_THREADS; the CPU count is capped at it.
-MAX_THREADS = 256
 
 
 def _seeded_config(command: str, seed: Seed, fmt: str, output_path: str | None = None) -> dict:
@@ -84,13 +82,17 @@ def _probability_fields(name: str, value: Fraction | float) -> dict:
     return {name: float(value)}
 
 
-def _emit(payload: dict, fmt: str, stream) -> None:
+def _emit(config: dict, fields: dict, fmt: str, stream) -> int:
+    """Write the report {version, config, **fields} as one sorted JSON line
+    or as `key: value` lines in that order; returns the exit code 0."""
+    payload = {"version": __version__, "config": config, **fields}
     if fmt == "json":
         json.dump(payload, stream, sort_keys=True)
         stream.write("\n")
     else:
         for key in payload:
             stream.write(f"{key}: {_human(payload[key])}\n")
+    return 0
 
 
 def _human(v) -> str:
@@ -156,9 +158,7 @@ def _cmd_estimate(args, out) -> int:
             f"{seed.value}:{seed.stream}\n"
         )
         return 0
-    payload = {
-        "version": __version__,
-        "config": _seeded_config("estimate", seed, fmt),
+    fields = {
         "n": report.n,
         "m": report.m,
         "trials": report.trials,
@@ -168,10 +168,9 @@ def _cmd_estimate(args, out) -> int:
         "ci_high": report.ci_high,
     }
     if fmt == "human":
-        payload["elapsed_s"] = round(report.elapsed, 3)
-        payload["threads"] = threads
-    _emit(payload, fmt, out)
-    return 0
+        fields["elapsed_s"] = round(report.elapsed, 3)
+        fields["threads"] = threads
+    return _emit(_seeded_config("estimate", seed, fmt), fields, fmt, out)
 
 
 def _cmd_exact(args, out) -> int:
@@ -179,19 +178,15 @@ def _cmd_exact(args, out) -> int:
     if args.format == "human":
         out.write(f"{_fraction_str(frac)} = {float(frac)!r}\n")
         return 0
-    payload = {
-        "version": __version__,
-        "config": {"command": "exact", "n": args.n, "m": args.m},
-    }
-    payload.update(_probability_fields("fraction", frac))
+    fields = _probability_fields("fraction", frac)
     if args.m >= 1:
-        payload.update(
+        fields.update(
             _probability_fields("schwartz_zippel_bound", schwartz_zippel_bound(args.n, args.m))
         )
     if args.n >= 2:
-        payload.update(_probability_fields("lower_bound", lower_bound(args.n, args.m)))
-    _emit(payload, args.format, out)
-    return 0
+        fields.update(_probability_fields("lower_bound", lower_bound(args.n, args.m)))
+    config = {"command": "exact", "n": args.n, "m": args.m}
+    return _emit(config, fields, args.format, out)
 
 
 def _cmd_fit(args, out) -> int:
@@ -202,32 +197,26 @@ def _cmd_fit(args, out) -> int:
         for row in _csv.DictReader(fh):
             points.append((int(row["n"]), int(row["m"]), float(row["estimate"])))
     fit = fit_exponent(points)
-    payload = {
-        "version": __version__,
-        "config": {"command": "fit", "input": args.input},
+    fields = {
         "points": len(fit.points),
         "c_hat": fit.c_hat,
         "intercept": fit.intercept,
         "residual": fit.residual,
     }
-    _emit(payload, args.format, out)
-    return 0
+    return _emit({"command": "fit", "input": args.input}, fields, args.format, out)
 
 
 def _cmd_mds_verify(args, out) -> int:
     matrix = read_matrix(args.input)
     verdict = is_mds(matrix)
-    payload = {
-        "version": __version__,
-        "config": {"command": "mds-verify", "input": args.input},
+    fields = {
         "k": matrix.rows,
         "n": matrix.cols,
         "is_mds": verdict.is_mds,
         "witness": list(verdict.witness) if verdict.witness else None,
         "minors_checked": verdict.minors_checked,
     }
-    _emit(payload, args.format, out)
-    return 0
+    return _emit({"command": "mds-verify", "input": args.input}, fields, args.format, out)
 
 
 def _cmd_mds_generate(args, out) -> int:
@@ -235,17 +224,15 @@ def _cmd_mds_generate(args, out) -> int:
     report = generate_mds(args.k, args.n, m=args.m, max_attempts=args.max_attempts, seed=seed)
     if args.output:
         write_matrix(report.matrix, args.output)
-    payload = {
-        "version": __version__,
-        "config": _seeded_config("mds-generate", seed, args.format, args.output),
+    fields = {
         "k": args.k,
         "n": args.n,
         "m_used": report.m_used,
         "attempts": report.attempts,
         "matrix": report.matrix.to_lists() if not args.output else args.output,
     }
-    _emit(payload, args.format, out)
-    return 0
+    config = _seeded_config("mds-generate", seed, args.format, args.output)
+    return _emit(config, fields, args.format, out)
 
 
 def _cmd_lcd(args, out) -> int:
@@ -256,16 +243,15 @@ def _cmd_lcd(args, out) -> int:
     vec = read_vector(args.input)
     params = LcdParams(alpha=args.alpha, beta=args.beta)
     result = lcd_scan(vec, params, d_max=args.dmax, grid_step=args.step)
-    payload = {
-        "version": __version__,
-        "config": {
-            "command": "lcd",
-            "input": args.input,
-            "alpha": args.alpha,
-            "beta": args.beta,
-            "d_max": args.dmax,
-            "grid_step": args.step,
-        },
+    config = {
+        "command": "lcd",
+        "input": args.input,
+        "alpha": args.alpha,
+        "beta": args.beta,
+        "d_max": args.dmax,
+        "grid_step": args.step,
+    }
+    fields = {
         "lcd_upper": result.lcd_upper if result.found else "inf",
         "found": result.found,
         "certificate": None
@@ -276,29 +262,21 @@ def _cmd_lcd(args, out) -> int:
             "residual": result.certificate.residual,
         },
     }
-    _emit(payload, args.format, out)
-    return 0
+    return _emit(config, fields, args.format, out)
 
 
 def _cmd_compress(args, out) -> int:
     vec = read_vector(args.input)
     params = LcdParams(alpha=args.alpha, beta=args.beta)
     s = params.sparsity_count(len(vec))
-    payload = {
-        "version": __version__,
-        "config": {
-            "command": "compress",
-            "input": args.input,
-            "alpha": args.alpha,
-            "beta": args.beta,
-        },
+    config = {"command": "compress", "input": args.input, "alpha": args.alpha, "beta": args.beta}
+    fields = {
         "n": len(vec),
         "sparsity": s,
         "residual": float(sparse_residual(vec, s)),
         "compressible": is_compressible(vec, params),
     }
-    _emit(payload, args.format, out)
-    return 0
+    return _emit(config, fields, args.format, out)
 
 
 def _cmd_charfunc(args, out) -> int:
@@ -316,15 +294,9 @@ def _cmd_charfunc(args, out) -> int:
         for y, f in zip(ys, fvals):
             out.write(f"{float(y)!r},{float(f)!r},{G_eval(args.m * float(y), ETA)!r}\n")
         return 0
-    payload = {
-        "version": __version__,
-        "config": {"command": "charfunc", "m": args.m, "grid": grid},
-        "rows": [
-            [float(y), float(f), G_eval(args.m * float(y), ETA)] for y, f in zip(ys, fvals)
-        ],
-    }
-    _emit(payload, args.format, out)
-    return 0
+    rows = [[float(y), float(f), G_eval(args.m * float(y), ETA)] for y, f in zip(ys, fvals)]
+    config = {"command": "charfunc", "m": args.m, "grid": grid}
+    return _emit(config, {"rows": rows}, args.format, out)
 
 
 def _cmd_smallball(args, out) -> int:
@@ -344,9 +316,7 @@ def _cmd_smallball(args, out) -> int:
         direction, args.m, args.eps, args.trials, seed, lcd_params=params, threads=threads
     )
     mc = report.mc_probability
-    payload = {
-        "version": __version__,
-        "config": _seeded_config("smallball", seed, args.format),
+    fields = {
         "n": args.n,
         "m": args.m,
         "epsilon": report.epsilon,
@@ -358,8 +328,7 @@ def _cmd_smallball(args, out) -> int:
         "esseen_integral": report.esseen_integral,
         "lcd_bound": report.lcd_bound,
     }
-    _emit(payload, args.format, out)
-    return 0
+    return _emit(_seeded_config("smallball", seed, args.format), fields, args.format, out)
 
 
 def _cmd_normal_vector(args, out) -> int:

@@ -1,13 +1,15 @@
 """Real-vector diagnostics at extended precision: compressibility, the
 least-common-denominator (LCD) scan, spread and spectral-norm probes.
 
-Vectors are mpmath reals, and every mpmath step works at one fixed
-precision, PRECISION = 128 mantissa bits. Compressibility, spread and every
-LCD witness are decided on these reals. The LCD scan evaluates its whole
-grid in float64 first and decides a grid point there only when the residual
+Vectors are mpmath reals, converted from integer kernel vectors, floats or
+decimal strings, and every mpmath step works at one fixed precision,
+PRECISION = 128 mantissa bits. Compressibility, spread and every LCD
+witness are decided on these reals. The LCD scan evaluates its whole grid
+in float64 first and decides a grid point there only when the residual
 clears the bound by a certified rounding margin; points inside the margin,
-and the certificate, are computed in mpmath. The spectral-norm probe, whose
-contract is only 1e-6 accuracy, runs in float64.
+and the certificate, are computed in mpmath by one residual routine,
+`_lcd_residual`. The spectral-norm probe, whose contract is only 1e-6
+accuracy, runs in float64.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 from mpmath import mpf, workprec
 
 from .errors import DimensionError, DomainError
-from .linalg import IntMatrix, RationalVector, kernel_basis
+from .linalg import IntMatrix, kernel_basis
 from .sampling import Seed, generator
 
 PRECISION = 128
@@ -43,13 +45,7 @@ class RealVector:
     @classmethod
     def from_values(cls, values) -> "RealVector":
         with workprec(PRECISION):
-            conv = []
-            for v in values:
-                if isinstance(v, Fraction):
-                    conv.append(mpf(v.numerator) / v.denominator)
-                else:
-                    conv.append(mpf(v))
-        return cls(tuple(conv))
+            return cls(tuple(mpf(v) for v in values))
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -111,9 +107,8 @@ class LcdScanResult:
 
 
 def normalize(v) -> RealVector:
-    """v / ||v||_2 at PRECISION bits."""
-    if isinstance(v, RationalVector):
-        v = v.entries
+    """v / ||v||_2 at PRECISION bits, for a RealVector or a sequence of
+    values that mpf accepts (ints, floats, decimal strings)."""
     vec = v if isinstance(v, RealVector) else RealVector.from_values(v)
     with workprec(PRECISION):
         nrm = vec.norm()
@@ -178,22 +173,20 @@ def lcd_witness(x: RealVector, d, p: LcdParams) -> bool:
         raise DomainError("D must be positive")
     s = p.sparsity_count(len(x))
     with workprec(PRECISION):
-        dd = mpf(d)
-        frac = RealVector(tuple(fractional_part(dd * e) for e in x.entries))
-        bound = mpf(p.beta) * min(dd, mpmath.sqrt(len(x)))
-        return sparse_residual(frac, s) <= bound
+        bound = mpf(p.beta) * min(mpf(d), mpmath.sqrt(len(x)))
+        return _lcd_residual(x, d, s)[0] <= bound
 
 
-def _witness_certificate(x: RealVector, d: float, p: LcdParams) -> LcdCertificate:
-    s = p.sparsity_count(len(x))
+def _lcd_residual(x: RealVector, d, s: int) -> tuple:
+    """(residual, support) for {d*x}: support the indices of its s largest
+    magnitudes (the lower index first among ties), in increasing order, and
+    residual the l2 norm of the other entries, at PRECISION bits."""
     with workprec(PRECISION):
         dd = mpf(d)
         frac = [fractional_part(dd * e) for e in x.entries]
-        # largest magnitudes first, index as deterministic tiebreak
         order = sorted(range(len(frac)), key=lambda i: (-abs(frac[i]), i))
-        support = tuple(sorted(order[:s]))
         residual = mpmath.sqrt(mpmath.fsum(frac[i] ** 2 for i in order[s:]))
-    return LcdCertificate(d=float(d), sparse_support=support, residual=float(residual))
+    return residual, tuple(sorted(order[:s]))
 
 
 # Grid rows evaluated per numpy block: bounds the float64 working set at
@@ -257,11 +250,12 @@ def lcd_scan(x: RealVector, p: LcdParams, d_max: float, grid_step: float) -> Lcd
         for i in np.flatnonzero(gap <= margin):
             dj = float(d[i])
             if gap[i] < -margin[i] or lcd_witness(x, dj, p):
+                residual, support = _lcd_residual(x, dj, s)
                 return LcdScanResult(
                     lcd_upper=dj,
                     grid_step=grid_step,
                     d_max=d_max,
-                    certificate=_witness_certificate(x, dj, p),
+                    certificate=LcdCertificate(dj, support, float(residual)),
                 )
     return LcdScanResult(lcd_upper=math.inf, grid_step=grid_step, d_max=d_max, certificate=None)
 

@@ -1,16 +1,16 @@
-"""Exact integer/rational linear algebra: determinant, rank, kernel.
+"""Exact integer linear algebra: determinant, rank, kernel.
 
 Everything here is exact. Determinant, rank and the kernel fallback share
 one fraction-free (Bareiss) elimination on Python integers, `_echelon`, so
 there is no rounding anywhere and no rational blow-up during the forward
 pass.
 
-`kernel_basis` has two exact paths. A (c-1) x c matrix of rank c-1 (the
-normal vector of c-1 rows) is solved by p-adic lifting modulo one prime;
-an exact integer check that the vector is a kernel vector proves the
-result. Every other case, and any case that the prime or the check
-rejects, back-substitutes on the fraction-free echelon form in integers,
-scaling the partial solution instead of dividing.
+`kernel_basis` returns integer tuples and has two exact paths. A (c-1) x c
+matrix of rank c-1 (the normal vector of c-1 rows) is solved by p-adic
+lifting modulo one prime; an exact integer check that the vector is a
+kernel vector proves the result. Every other case, and any case that the
+prime or the check rejects, back-substitutes on the fraction-free echelon
+form in integers, scaling the partial solution instead of dividing.
 
 `det_batch` gives exact int64 determinants of a whole batch at once for the
 Monte Carlo hot path: a division-free expansion over column subsets
@@ -33,7 +33,6 @@ exact `det`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, isqrt, prod
 from operator import mul
@@ -127,24 +126,6 @@ class IntMatrix:
         return self.rows == self.cols
 
 
-@dataclass(frozen=True)
-class RationalVector:
-    """Exact rational vector; Fraction keeps entries reduced."""
-
-    entries: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if not self.entries:
-            raise DimensionError("empty vector")
-
-    @classmethod
-    def from_values(cls, values) -> "RationalVector":
-        return cls(tuple(Fraction(v) for v in values))
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
 def det(m: IntMatrix) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination."""
     if not m.is_square:
@@ -230,18 +211,18 @@ def rank(m: IntMatrix) -> int:
     return len(pivots)
 
 
-def _canonical(x: list[int]) -> RationalVector:
+def _canonical(x: list[int]) -> tuple[int, ...]:
     """x divided by its content, first nonzero coordinate made positive."""
     content = gcd(*x)
     if x[next(i for i, v in enumerate(x) if v)] < 0:
         content = -content
-    return RationalVector(tuple(Fraction(v // content) for v in x))
+    return tuple(v // content for v in x)
 
 
-def kernel_basis(m: IntMatrix) -> list[RationalVector]:
+def kernel_basis(m: IntMatrix) -> list[tuple[int, ...]]:
     """Exact basis of the right kernel, ordered by free column index.
 
-    Each basis vector is canonical: integer entries with content 1 and a
+    Each basis vector is a canonical integer tuple: content 1 and a
     positive leading coordinate. Empty list iff m has full column rank.
     A (c-1) x c matrix of rank c-1 modulo _LIFT_PRIME takes p-adic lifting
     (`_lifted_kernel`); every other case, and any case that path cannot
@@ -472,8 +453,7 @@ def leading_minors(a: np.ndarray, k: int) -> list[np.ndarray]:
     sub-subsets come from `_minor_plan`. Every intermediate is a minor of
     the input or a partial Laplace sum, bounded by (r+1) * m * (m * sqrt(r))**r
     for entries |a| <= m, so int64 is exact when `_expansion_fits(k, m)`
-    holds and int32 when `_expansion_fits(k, m, 31)` does; a dtype=object
-    batch computes in Python integers.
+    holds and int32 when `_expansion_fits(k, m, 31)` does.
     """
     minors = list(a[0])
     for r in range(1, k):
@@ -491,6 +471,12 @@ def leading_minors(a: np.ndarray, k: int) -> list[np.ndarray]:
             level.append(acc)
         minors = level
     return minors
+
+
+def _lanes(b: int) -> list[slice]:
+    """Equal consecutive slices of range(b), each of at most _LANE matrices."""
+    lanes = -(-b // _LANE)
+    return [slice(b * i // lanes, b * (i + 1) // lanes) for i in range(lanes)]
 
 
 def det_batch(mats: np.ndarray) -> np.ndarray:
@@ -515,11 +501,9 @@ def det_batch(mats: np.ndarray) -> np.ndarray:
     top = max(int(mats.max()), -int(mats.min())) if b else 0
     dtype = np.int32 if _expansion_fits(n, top, 31) else np.int64
     out = np.empty(b, dtype=np.int64)
-    lanes = -(-b // _LANE)
-    for i in range(lanes):
-        s, e = b * i // lanes, b * (i + 1) // lanes
-        a = np.array(mats[s:e].transpose(1, 2, 0), dtype=dtype, order="C")
-        out[s:e] = leading_minors(a, n)[0]
+    for lane in _lanes(b):
+        a = np.array(mats[lane].transpose(1, 2, 0), dtype=dtype, order="C")
+        out[lane] = leading_minors(a, n)[0]
     return out
 
 
@@ -539,11 +523,9 @@ def nonsingular_mod_p(mats: np.ndarray) -> np.ndarray:
         raise DimensionError("batch of square matrices required")
     p = _FILTER_PRIME
     out = np.empty(b, dtype=bool)
-    lanes = -(-b // _LANE)
-    for i in range(lanes):
-        s, e = b * i // lanes, b * (i + 1) // lanes
+    for lane in _lanes(b):
         # int64 before the remainder: an int16 batch cannot hold p
-        a = np.array(mats[s:e].transpose(1, 2, 0), dtype=np.int64, order="C") % p
+        a = np.array(mats[lane].transpose(1, 2, 0), dtype=np.int64, order="C") % p
         for k in range(n - 1):
             zero = np.flatnonzero(a[k, k] == 0)
             if zero.size:
@@ -553,5 +535,5 @@ def nonsingular_mod_p(mats: np.ndarray) -> np.ndarray:
             block *= a[k, k]
             block -= a[k + 1 :, k, None] * a[k, None, k + 1 :]
             block %= p
-        out[s:e] = a.diagonal().all(axis=1)
+        out[lane] = a.diagonal().all(axis=1)
     return out

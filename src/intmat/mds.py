@@ -30,11 +30,17 @@ MINOR_BUDGET = 1 << 16
 
 def _minor_count(k: int, n: int) -> int:
     """C(n, k), the widest level of `maximal_minors` on either side of a
-    k x n matrix; raises BudgetExceededError when it exceeds MINOR_BUDGET."""
-    total = math.comb(n, k)
+    k x n matrix; raises BudgetExceededError when it exceeds MINOR_BUDGET.
+
+    C(n, k) >= 2**j for j = min(k, n-k), so for j > 64 it raises before
+    computing C(n, k), with `required` the lower bound 2**65."""
+    if min(k, n - k) > 64:
+        total, shown = 1 << 65, "over 2**64"
+    else:
+        total = shown = math.comb(n, k)
     if total > MINOR_BUDGET:
         raise BudgetExceededError(
-            f"verifying a {k}x{n} matrix holds {total} minors at once,"
+            f"verifying a {k}x{n} matrix holds {shown} minors at once,"
             f" over the budget of {MINOR_BUDGET}",
             required=total,
             budget=MINOR_BUDGET,
@@ -93,7 +99,7 @@ def is_mds(m: IntMatrix) -> MdsVerdict:
     if 2 * k <= n:
         residues = maximal_minors(m)
     elif k < n and len(kernel := kernel_basis(m)) == n - k:
-        residues = maximal_minors(IntMatrix.from_rows(x.entries for x in kernel))[::-1]
+        residues = maximal_minors(IntMatrix.from_rows(kernel))[::-1]
     else:  # k = n, or rank below k: `det` of the first column set decides
         residues = np.zeros(total, dtype=np.int64)
     subsets = combinations(range(n), k)

@@ -25,6 +25,11 @@ from .linalg import (
 from .sampling import EntryDistribution, Seed, generator, sample_batches
 
 SHARD_TRIALS = 1 << 15
+# Most shards in one `map_shards` call, 2**31 trials: the pool creates one
+# Future per shard up front, about 100 MiB for 2**16 of them.
+MAX_SHARDS = 1 << 16
+# Most worker threads in one `map_shards` call.
+MAX_THREADS = 256
 DEFAULT_ENUM_BUDGET = 10**8
 _ENUM_CHUNK = 1 << 16  # row stacks per chunk of exact_singular_fraction
 _HITS_ENTRIES = 1 << 20  # key-by-last-row product entries per step (one key at least)
@@ -87,29 +92,28 @@ class ExponentFit:
     residual: float
 
 
-def _shard_sizes(trials: int) -> list[int]:
-    full, rem = divmod(trials, SHARD_TRIALS)
-    sizes = [SHARD_TRIALS] * full
-    if rem:
-        sizes.append(rem)
-    return sizes
-
-
-def map_shards(count_shard, trials: int, threads: int) -> list[int]:
-    """[count_shard(i, size) for each shard i of `trials`], in shard order.
+def map_shards(count_shard, trials: int, threads: int) -> int:
+    """The sum of count_shard(i, size) over the shards i of `trials`, in
+    shard order.
 
     Shards hold SHARD_TRIALS trials each (the last one the rest). With more
     than one thread they run on a pool of at most `threads` workers; the
-    result does not depend on the thread count.
+    result does not depend on the thread count. Raises DomainError before
+    any work for more than MAX_THREADS threads or MAX_SHARDS shards.
     """
     if threads < 1:
         raise DomainError("threads must be >= 1")
-    sizes = _shard_sizes(trials)
-    workers = min(threads, len(sizes))
+    if threads > MAX_THREADS:
+        raise DomainError(f"threads must be <= {MAX_THREADS}")
+    shards = -(-trials // SHARD_TRIALS)
+    if shards > MAX_SHARDS:
+        raise DomainError(f"trials must be <= {MAX_SHARDS * SHARD_TRIALS}")
+    sizes = [min(SHARD_TRIALS, trials - i * SHARD_TRIALS) for i in range(shards)]
+    workers = min(threads, shards)
     if workers == 1:
-        return [count_shard(i, size) for i, size in enumerate(sizes)]
+        return sum(map(count_shard, range(shards), sizes))
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(count_shard, range(len(sizes)), sizes))
+        return sum(pool.map(count_shard, range(shards), sizes))
 
 
 def _count_singular(mats: np.ndarray, fits: bool) -> int:
@@ -152,7 +156,7 @@ def mc_singularity(
     if n < 1:
         raise DomainError("n must be >= 1")
     start = time.perf_counter()
-    hits = sum(map_shards(partial(_singular_count, n, dist, seed), trials, threads))
+    hits = map_shards(partial(_singular_count, n, dist, seed), trials, threads)
     elapsed = time.perf_counter() - start
     m = dist.m if dist.kind == "uniform_symmetric" else None
     return EstimateReport.from_counts(trials, hits, seed, n, m, elapsed)
@@ -177,10 +181,11 @@ def exact_singular_fraction(n: int, m: int, budget: int = DEFAULT_ENUM_BUDGET) -
     The alphabet is symmetric and r ranges over the whole cube, so the
     number of r with c . r = 0 depends only on sorted |c|: the stacks are
     tallied by that key, and each distinct key is multiplied against every
-    last row once. int64 when `batch_det_fits_int64` holds (it bounds every
-    minor and every partial sum of c . r), else Python integers. The budget
-    still counts all (2m+1)**(n*n) matrices; n = 1 and m = 0 are closed
-    forms.
+    last row once, in int64: `batch_det_fits_int64` bounds every minor and
+    every partial sum of c . r. The budget still counts all (2m+1)**(n*n)
+    matrices; n = 1 and m = 0 are closed forms. Raises BudgetExceededError
+    before the first chunk when that int64 bound fails: every such n >= 2,
+    m >= 1 has at least 2**64 row stacks, too many ever to finish.
     """
     if n < 1 or m < 0:
         raise DomainError("need n >= 1 and m >= 0")
@@ -195,16 +200,22 @@ def exact_singular_fraction(n: int, m: int, budget: int = DEFAULT_ENUM_BUDGET) -
         )
     if n == 1 or m == 0:
         return Fraction(1, width) if n == 1 else Fraction(1)
-    dtype = np.int64 if batch_det_fits_int64(n, m) else object
+    if not batch_det_fits_int64(n, m):
+        raise BudgetExceededError(
+            f"exact enumeration runs in int64 only, and n = {n}, m = {m} is past"
+            f" the int64 bound of the minor expansion (batch_det_fits_int64)",
+            required=total,
+            budget=budget,
+        )
     stacks = width ** (n * (n - 1))
     tally: Counter[tuple] = Counter()
     for start in range(0, stacks, _ENUM_CHUNK):
         rows = _cube(start, min(start + _ENUM_CHUNK, stacks), m, n * (n - 1))
-        a = np.array(rows.reshape(-1, n - 1, n).transpose(1, 2, 0), dtype=dtype, order="C")
+        a = np.ascontiguousarray(rows.reshape(-1, n - 1, n).transpose(1, 2, 0))
         keys = np.sort(np.abs(np.stack(leading_minors(a, n - 1), axis=1)), axis=1)
         tally.update(map(tuple, keys.tolist()))
-    last = _cube(0, width**n, m, n).T.astype(dtype)
-    keys = np.array(list(tally), dtype=dtype)
+    last = _cube(0, width**n, m, n).T
+    keys = np.array(list(tally), dtype=np.int64)
     reps = list(tally.values())
     step = max(1, _HITS_ENTRIES // width**n)
     singular = 0

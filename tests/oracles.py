@@ -72,9 +72,8 @@ def rref_kernel(rows):
 
 def kernel_basis_oracle(m):
     """kernel_basis from `rref_kernel`: each vector cleared to integers,
-    reduced by its content and given a positive leading coordinate."""
-    from intmat.linalg import RationalVector
-
+    reduced by its content and given a positive leading coordinate, as a
+    tuple of ints."""
     basis = []
     for x in rref_kernel(m.to_lists()):
         denom = math.lcm(*(v.denominator for v in x))
@@ -82,7 +81,7 @@ def kernel_basis_oracle(m):
         content = math.gcd(*ints)
         if next(v for v in ints if v) < 0:
             content = -content
-        basis.append(RationalVector(tuple(Fraction(v // content) for v in ints)))
+        basis.append(tuple(v // content for v in ints))
     return basis
 
 
@@ -113,14 +112,9 @@ def enumerate_singular_fraction(n, m):
 
 
 def matvec(m, v):
-    """Exact product of an IntMatrix and a RationalVector."""
-    from intmat.linalg import RationalVector
-
+    """Exact product of an IntMatrix and an integer vector, as a tuple."""
     assert m.cols == len(v)
-    return RationalVector(tuple(
-        sum((Fraction(m.at(i, j)) * e for j, e in enumerate(v.entries)), Fraction(0))
-        for i in range(m.rows)
-    ))
+    return tuple(sum(m.at(i, j) * e for j, e in enumerate(v)) for i in range(m.rows))
 
 
 def brute_is_mds(rows):
@@ -160,19 +154,29 @@ def lcd_scan_oracle(x, p, d_max, grid_step):
     """The LCD scan one grid point at a time, every point in mpmath.
 
     This is the library's former lcd_scan; the float-first scan must agree
-    with it on lcd_upper and on every certificate field.
+    with it on lcd_upper and on every certificate field. The certificate is
+    computed here: {d*x} at 128 bits, its s largest magnitudes (the lower
+    index first among ties) as the support, the l2 norm of the rest as the
+    residual.
     """
-    from intmat.geometry import LcdScanResult, _witness_certificate, lcd_witness
+    import mpmath
 
+    from intmat.geometry import LcdCertificate, LcdScanResult, fractional_part, lcd_witness
+
+    s = p.sparsity_count(len(x))
     steps = int(d_max / grid_step + 1e-9)
     for j in range(1, steps + 1):
         d = j * grid_step
         if lcd_witness(x, d, p):
+            with mpmath.workprec(128):
+                frac = [fractional_part(mpmath.mpf(d) * e) for e in x.entries]
+                order = sorted(range(len(frac)), key=lambda i: (-abs(frac[i]), i))
+                rest = mpmath.sqrt(mpmath.fsum(frac[i] * frac[i] for i in order[s:]))
             return LcdScanResult(
                 lcd_upper=d,
                 grid_step=grid_step,
                 d_max=d_max,
-                certificate=_witness_certificate(x, d, p),
+                certificate=LcdCertificate(d, tuple(sorted(order[:s])), float(rest)),
             )
     return LcdScanResult(lcd_upper=math.inf, grid_step=grid_step, d_max=d_max, certificate=None)
 

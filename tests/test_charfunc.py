@@ -9,8 +9,6 @@ from intmat import charfunc
 from intmat.charfunc import (
     C2,
     ETA,
-    CharFuncParams,
-    F_eval,
     G_eval,
     charfn_modulus,
     derive_eta,
@@ -42,13 +40,11 @@ def exact_modulus(xs, t, m):
 
 def test_F_continuity_at_integers():
     for m in (1, 2, 5, 64):
-        assert F_eval(0.0, m) == 1.0
-        assert F_eval(1.0, m) == 1.0
-        assert F_eval(-3.0, m) == 1.0
+        assert f_grid([0.0, 1.0, -3.0], m).tolist() == [1.0, 1.0, 1.0]
 
 
 def test_F_half_point():
-    assert F_eval(0.5, 1) == pytest.approx(1 / 3, rel=1e-14)
+    assert float(f_grid(0.5, 1)) == pytest.approx(1 / 3, rel=1e-14)
 
 
 def test_F_periodicity_grid():
@@ -212,12 +208,3 @@ def test_small_ball_hits_do_not_depend_on_the_projection_block(eps, monkeypatch)
         monkeypatch.setattr(charfunc, "_PROJECT_ROWS", rows)
         hits.append(small_ball_probe(x, 16, eps, 12_000, Seed(69)).mc_probability.hits)
     assert hits[0] == hits[1] == hits[2] > 0
-
-
-def test_charfunc_params_validation():
-    x = normalize(RealVector.from_values([1.0, 1.0]))
-    CharFuncParams(m=2, x=x)
-    with pytest.raises(DomainError):
-        CharFuncParams(m=0, x=x)
-    with pytest.raises(DomainError):
-        CharFuncParams(m=2, x=RealVector.from_values([2.0, 0.0]))

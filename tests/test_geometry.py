@@ -19,7 +19,7 @@ from intmat.geometry import (
     spectral_norm,
     spread_check,
 )
-from intmat.linalg import IntMatrix, RationalVector, kernel_basis
+from intmat.linalg import IntMatrix, kernel_basis
 from intmat.sampling import EntryDistribution, Seed, generator
 
 from oracles import brute_sparse_residual, lcd_scan_oracle, top_singular_value_2x2
@@ -30,7 +30,7 @@ def unit(values):
 
 
 def test_normalize_3_4_5():
-    v = normalize(RationalVector.from_values([3, 4]))
+    v = normalize([3, 4])
     assert float(v.entries[0]) == pytest.approx(0.6, abs=1e-30)
     assert float(v.entries[1]) == pytest.approx(0.8, abs=1e-30)
 
@@ -204,7 +204,7 @@ def test_lcd_witness_matches_definition_oracle():
 def test_lcd_integer_vector_exact_multiple():
     # x = z/||z|| for integer z: D = ||z|| makes D*x integral
     z = [2, 3, 6]  # norm 7
-    x = normalize(RationalVector.from_values(z))
+    x = normalize(z)
     p = LcdParams(alpha=0.2, beta=0.05)
     assert lcd_witness(x, 7.0, p)
 
@@ -267,7 +267,7 @@ def _lcd_equivalence_cases():
         # all-ones at D = sqrt(n): D*x is integral
         (unit([1.0] * 16), LcdParams(0.2, 0.1), 8.0, 0.5),
         (unit([1.0] * 7), LcdParams(0.05, 0.05), 2 * math.sqrt(7), math.sqrt(7) / 4),
-        (normalize(RationalVector.from_values([2, 3, 6])), LcdParams(0.2, 0.05), 7.0, 0.5),
+        (normalize([2, 3, 6]), LcdParams(0.2, 0.05), 7.0, 0.5),
     ]
     rng = np.random.default_rng(39)
     for i in range(120):
@@ -278,7 +278,7 @@ def _lcd_equivalence_cases():
         elif kind == 1:
             z = [int(v) for v in rng.integers(-2, 3, n)]
             z[0] = z[0] or 1
-            x = normalize(RationalVector.from_values(z))
+            x = normalize(z)
         elif kind == 2:
             v = 1e-3 * rng.standard_normal(n)
             v[: max(1, n // 5)] += 1.0

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -173,6 +174,17 @@ def test_generate_checks_the_minor_budget_before_drawing(monkeypatch):
     assert err.value.required == 10**8 and err.value.budget == MINOR_BUDGET
     with pytest.raises(BudgetExceededError):
         generate_mds(10, 30, m=1)
+
+
+def test_minor_budget_refuses_a_huge_binomial_at_once(monkeypatch):
+    # C(10**8, 5 * 10**7) has about 3 * 10**7 digits; it is never computed
+    monkeypatch.setattr(mds.math, "comb", lambda n, k: pytest.fail("C(n, k) computed"))
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError) as err:
+        generate_mds(5 * 10**7, 10**8, seed=Seed(1))
+    assert time.perf_counter() - start < 1.0
+    assert err.value.required == 2**65 and err.value.budget == MINOR_BUDGET
+    assert len(str(err.value)) < 100
 
 
 def _no_expansion(m):

@@ -10,11 +10,15 @@ from intmat.errors import BudgetExceededError, DomainError, FitError
 from intmat.linalg import _FILTER_PRIME as P, _det_rows, batch_det_fits_int64, nonsingular_mod_p
 from intmat.sampling import EntryDistribution, Seed
 from intmat.singularity import (
+    MAX_SHARDS,
+    MAX_THREADS,
+    SHARD_TRIALS,
     EstimateReport,
     _count_singular,
     exact_singular_fraction,
     fit_exponent,
     lower_bound,
+    map_shards,
     mc_singularity,
     schwartz_zippel_bound,
     wilson_interval,
@@ -61,12 +65,16 @@ def test_exact_fraction_pinned_values():
     assert exact_singular_fraction(3, 3) == Fraction(2840071, 40353607)
 
 
-@pytest.mark.parametrize("n, m, frac", [
-    (2, 2, Fraction(129, 625)), (3, 1, Fraction(875, 2187)), (3, 2, Fraction(305381, 1953125)),
-])
-def test_exact_fraction_python_int_fallback(monkeypatch, n, m, frac):
-    monkeypatch.setattr(intmat.singularity, "batch_det_fits_int64", lambda n, m: False)
-    assert exact_singular_fraction(n, m) == frac
+@pytest.mark.parametrize("n, m", [(9, 1), (8, 78), (2, 2**31)])
+def test_exact_fraction_refuses_past_the_int64_bound(monkeypatch, n, m):
+    # each has at least 2**64 row stacks: the refusal comes before any chunk
+    def no_enumeration(*args):
+        raise AssertionError("no row stack may be enumerated past the int64 bound")
+
+    monkeypatch.setattr(intmat.singularity, "_cube", no_enumeration)
+    assert not batch_det_fits_int64(n, m)
+    with pytest.raises(BudgetExceededError, match="int64"):
+        exact_singular_fraction(n, m, budget=(2 * m + 1) ** (n * n))
 
 
 def test_exact_fraction_budget():
@@ -131,6 +139,29 @@ def test_mc_deterministic_across_threads():
         r8.ci_low,
         r8.ci_high,
     )
+
+
+def test_map_shards_sums_shard_sizes_in_order():
+    seen = []
+    trials = 2 * SHARD_TRIALS + 5
+    assert map_shards(lambda i, size: seen.append((i, size)) or size, trials, 1) == trials
+    assert seen == [(0, SHARD_TRIALS), (1, SHARD_TRIALS), (2, 5)]
+    assert map_shards(lambda i, size: i, trials, 2) == 0 + 1 + 2
+
+
+def test_map_shards_caps_shards_and_threads_before_any_work():
+    def count_shard(shard, size):
+        raise AssertionError("no shard may run when a cap is exceeded")
+
+    cap = MAX_SHARDS * SHARD_TRIALS
+    assert cap == 2**31
+    for trials in (cap + 1, 10**23):
+        with pytest.raises(DomainError, match=f"trials must be <= {cap}"):
+            map_shards(count_shard, trials, 2)
+    with pytest.raises(DomainError, match=f"threads must be <= {MAX_THREADS}"):
+        map_shards(count_shard, 10, MAX_THREADS + 1)
+    with pytest.raises(DomainError, match="threads must be >= 1"):
+        map_shards(count_shard, 10, 0)
 
 
 def test_mc_custom_distribution():

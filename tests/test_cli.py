@@ -481,3 +481,113 @@ def test_golden_normal_vector_stdout(tmp_path, capsys, name):
     code, out, _ = run(capsys, ["normal-vector", "--input", str(path), "--m", "16"])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == GOLDEN_NORMAL_VECTOR[name]
+
+
+# `normal-vector` stdout of the six golden matrices, concatenated, by --digits
+GOLDEN_NORMAL_VECTOR_DIGITS = {
+    1: "c54567ad185949d7",
+    17: "90cbcaa843a19ab7",
+    36: "162b19b643afb9ac",
+    40: "5eff99e62617b027",
+}
+
+
+@pytest.mark.parametrize("digits", sorted(GOLDEN_NORMAL_VECTOR_DIGITS))
+def test_golden_normal_vector_digits(tmp_path, capsys, digits):
+    outputs = []
+    for name in sorted(GOLDEN_NORMAL_VECTOR):
+        path = tmp_path / f"{name}.txt"
+        write_matrix(IntMatrix.from_rows(_golden_rows(name)), path)
+        code, out, _ = run(capsys, ["normal-vector", "--input", str(path),
+                                    "--digits", str(digits)])
+        assert code == 0
+        outputs.append(out)
+    digest = hashlib.sha256("".join(outputs).encode()).hexdigest()[:16]
+    assert digest == GOLDEN_NORMAL_VECTOR_DIGITS[digits]
+
+
+# Golden geometry reports: SHA-256 prefixes of the concatenated `compress
+# --json` and `lcd --json` stdout of every vector of _golden_vectors under
+# every parameter set below. Paths are relative, so the bytes do not depend
+# on the directory the test runs in.
+GOLDEN_GEOMETRY = {"compress": "0374dc5f843c6e4c", "lcd": "d9a4f501036543f5"}
+GOLDEN_COMPRESS_PARAMS = [("0.5", "0.25"), ("0.1", "0.5"), ("0.5", "0.5")]
+GOLDEN_LCD_PARAMS = [
+    ("0.1", "0.25", repr(math.sqrt(5.0)), "0.01"),  # the C7 configuration at n = 50
+    ("0.5", "0.5", "1.0", "0.125"),
+    ("0.2", "0.1", "8.0", "0.5"),
+]
+
+
+def _golden_vectors(capsys, tmp_path):
+    """Vector files as (name, text): random unit 50-vectors, near-sparse ones
+    whose scan stops early, exact ties on the LCD bound, and 36-digit
+    normal vectors."""
+    rng = np.random.default_rng(2301)
+
+    def text(v):
+        v = v / np.linalg.norm(v)
+        return f"{v.size}\n" + "".join(f"{float(t)!r}\n" for t in v)
+
+    files = [(f"gauss{i}", text(rng.standard_normal(50))) for i in range(8)]
+    for i, late in enumerate((False, True, False, True)):
+        # five large coordinates and a tail of norm 0.2; a sixth coordinate
+        # of 0.5 delays the first witness
+        x = np.zeros(50)
+        x[6:] = 0.2 * rng.standard_normal(44) / math.sqrt(44)
+        if late:
+            x[5] = 0.5
+        big = rng.standard_normal(5) * 0.05 + 1.0
+        x[:5] = big / np.linalg.norm(big) * rng.choice([-1.0, 1.0], 5)
+        files.append((f"sparse{i}", text(x[rng.permutation(50)])))
+    # (sqrt(3)/2, 1/2): at D = 1/8 the residual after one removal is 1/16 = beta*D
+    files.append(("tie2", "2\n0.8660254037844386\n0.5\n"))
+    # (1/4, ..., 1/4): {2x} = (1/2, ..., 1/2) and {4x} = 0
+    files.append(("ones16", "16\n" + "0.25\n" * 16))
+    for name in ("39x40_seed1", "5x6_rank3"):
+        path = tmp_path / f"{name}.txt"
+        write_matrix(IntMatrix.from_rows(_golden_rows(name)), path)
+        code, out, _ = run(capsys, ["normal-vector", "--input", str(path)])
+        assert code == 0
+        files.append((f"normal_{name}", out))
+    return files
+
+
+def test_golden_compress_and_lcd_stdout(tmp_path, capsys, monkeypatch):
+    from intmat import geometry
+
+    files = _golden_vectors(capsys, tmp_path)
+    monkeypatch.chdir(tmp_path)
+    for name, body in files:
+        (tmp_path / f"{name}.vec").write_text(body, encoding="ascii")
+    confirmations = 0
+    witness = geometry.lcd_witness
+
+    def counted(*args):
+        nonlocal confirmations
+        confirmations += 1
+        return witness(*args)
+
+    monkeypatch.setattr(geometry, "lcd_witness", counted)
+    outputs = {"compress": [], "lcd": []}
+    for name, _ in files:
+        for alpha, beta in GOLDEN_COMPRESS_PARAMS:
+            argv = ["compress", "--input", f"{name}.vec", "--alpha", alpha, "--beta", beta,
+                    "--json"]
+            code, out, _ = run(capsys, argv)
+            assert code == 0
+            outputs["compress"].append(out)
+        for alpha, beta, dmax, step in GOLDEN_LCD_PARAMS:
+            argv = ["lcd", "--input", f"{name}.vec", "--alpha", alpha, "--beta", beta,
+                    "--dmax", dmax, "--step", step, "--json"]
+            code, out, _ = run(capsys, argv)
+            assert code == 0
+            outputs["lcd"].append(out)
+    # some grid point fell inside the float margin and was confirmed exactly
+    assert confirmations > 0
+    found = [json.loads(out)["found"] for out in outputs["lcd"]]
+    assert any(found) and not all(found)
+    verdicts = [json.loads(out)["compressible"] for out in outputs["compress"]]
+    assert any(verdicts) and not all(verdicts)
+    digests = {k: hashlib.sha256("".join(v).encode()).hexdigest()[:16] for k, v in outputs.items()}
+    assert digests == GOLDEN_GEOMETRY

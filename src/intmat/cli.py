@@ -1,7 +1,8 @@
 """Command-line front end: every experiment and utility behind one binary.
 
 Exit codes: 0 success (including negative verdicts), 1 domain/validation
-errors and bad usage, 2 budget or generation failures.
+errors, bad usage and arithmetic overflow, 2 budget or generation failures
+and running out of memory. A failure prints one `intmat:` line on stderr.
 
 Machine-readable outputs (json/csv) are byte-identical for identical
 argv + seed regardless of thread count, so they carry neither wall times
@@ -273,7 +274,7 @@ def _cmd_compress(args, out) -> int:
     fields = {
         "n": len(vec),
         "sparsity": s,
-        "residual": float(sparse_residual(vec, s)),
+        "residual": sparse_residual(vec, s),
         "compressible": is_compressible(vec, params),
     }
     return _emit(config, fields, args.format, out)
@@ -455,7 +456,10 @@ def main(argv=None) -> int:
     except (BudgetExceededError, GenerationError) as exc:
         sys.stderr.write(f"intmat: {exc}\n")
         return 2
-    except (OSError, KeyError, ValueError) as exc:
+    except MemoryError:
+        sys.stderr.write("intmat: out of memory\n")
+        return 2
+    except (OSError, KeyError, ValueError, OverflowError) as exc:
         sys.stderr.write(f"intmat: {exc}\n")
         return 1
 

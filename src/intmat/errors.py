@@ -10,9 +10,10 @@ class DomainError(ValueError):
 
 
 class BudgetExceededError(RuntimeError):
-    """An exhaustive computation would exceed its configured budget."""
+    """An exhaustive computation would exceed its configured budget;
+    `required` is the budget it needs, or None when no budget would do."""
 
-    def __init__(self, message: str, required: int, budget: int):
+    def __init__(self, message: str, required: int | None, budget: int):
         super().__init__(message)
         self.required = required
         self.budget = budget

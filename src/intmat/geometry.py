@@ -1,61 +1,176 @@
-"""Real-vector diagnostics at extended precision: compressibility, the
+"""Real-vector diagnostics in exact binary arithmetic: compressibility, the
 least-common-denominator (LCD) scan, spread and spectral-norm probes.
 
-Vectors are mpmath reals, converted from integer kernel vectors, floats or
-decimal strings, and every mpmath step works at one fixed precision,
-PRECISION = 128 mantissa bits. Compressibility, spread and every LCD
-witness are decided on these reals. The LCD scan evaluates its whole grid
-in float64 first and decides a grid point there only when the residual
-clears the bound by a certified rounding margin; points inside the margin,
-and the certificate, are computed in mpmath by one residual routine,
-`_lcd_residual`. The spectral-norm probe, whose contract is only 1e-6
-accuracy, runs in float64.
+A RealVector holds integer mantissas at one shared binary exponent, and
+each entry has at most PRECISION = 128 significant bits: an integer or a
+decimal is rounded to that once, half to even, and a float is exact.
+Compressibility, spread, the unit-norm check and every LCD witness compare
+squares of these values exactly, in integers. The LCD scan evaluates its
+whole grid in float64 first and decides a grid point there only when the
+residual clears the bound by a certified rounding margin; every point
+inside the margin is confirmed exactly by lcd_witness.
+
+The values that reach a report (normalize's entries, the compress and LCD
+certificate residuals, and the float64 directions of to_floats) come from
+one fixed sequence of PRECISION-bit steps: each product rounded, half to
+even; sums taken exactly and rounded once; correctly rounded square roots
+and quotients; a float64 rounded from the 128-bit value. The test suite's
+oracle runs the same steps in an arbitrary-precision float library at 128
+bits, and the bytes must match. The spectral-norm probe, whose contract is
+only 1e-6 accuracy, runs in float64.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
 import numpy as np
-from mpmath import mpf, workprec
 
 from .errors import DimensionError, DomainError
 from .linalg import IntMatrix, kernel_basis
 from .sampling import Seed, generator
 
 PRECISION = 128
-_UNIT_NORM_TOL = 1e-9
+
+
+def _round(man: int, exp: int, bits: int = PRECISION) -> tuple[int, int]:
+    """man * 2**exp rounded to `bits` significant bits, half to even."""
+    n = abs(man).bit_length() - bits
+    if n <= 0:
+        return man, exp
+    a = abs(man)
+    q, r, half = a >> n, a & ((1 << n) - 1), 1 << (n - 1)
+    if r > half or (r == half and q & 1):
+        q += 1
+    return (q if man > 0 else -q), exp + n
+
+
+def _quotient(num: int, den: int, exp: int = 0) -> tuple[int, int]:
+    """num / den * 2**exp (den > 0) rounded to PRECISION bits: the integer
+    quotient carries at least PRECISION + 1 bits and a sticky bit for a
+    nonzero remainder, so one rounding of it is correct."""
+    shift = PRECISION + 1 - abs(num).bit_length() + den.bit_length()
+    if shift >= 0:
+        q, r = divmod(abs(num) << shift, den)
+    else:
+        q, r = divmod(abs(num), den << -shift)
+    q = (q << 1) | (r != 0)
+    return _round(q if num >= 0 else -q, exp - shift - 1)
+
+
+def _sqrt(man: int, exp: int) -> tuple[int, int]:
+    """sqrt(man * 2**exp) (man >= 0) rounded to PRECISION bits, with a
+    sticky bit as in _quotient."""
+    if not man:
+        return 0, 0
+    shift = max(0, 2 * PRECISION + 2 - man.bit_length())
+    shift += (exp - shift) & 1
+    big = man << shift
+    root = math.isqrt(big)
+    root = (root << 1) | (root * root != big)
+    return _round(root, (exp - shift) // 2 - 1)
+
+
+def _fsum(pairs) -> tuple[int, int]:
+    """The sum of (mantissa, exponent) terms, in order, rounded once.
+
+    The terms are added exactly, except that a term lying wholly more than
+    2 * PRECISION bits below the running sum's lowest bit is dropped, and
+    so is a running sum lying that far below a new term's lowest bit (each
+    term taken with its trailing zero bits stripped). This is the summation
+    whose printed values the module keeps; a dropped term can change the
+    rounding only by breaking a tie, so a sum of two terms is correctly
+    rounded.
+    """
+    limit = 2 * PRECISION
+    man = exp = 0
+    for m, e in pairs:
+        if not m:
+            continue
+        zeros = (m & -m).bit_length() - 1
+        m, e = m >> zeros, e + zeros
+        if e >= exp:
+            if e - exp > limit and (not man or e - exp - abs(man).bit_length() > limit):
+                man, exp = m, e
+            else:
+                man += m << (e - exp)
+        elif exp - e - abs(m).bit_length() > limit:
+            if not man:
+                man, exp = m, e
+        else:
+            man, exp = (man << (exp - e)) + m, e
+    return _round(man, exp)
+
+
+def _norm(mantissas, exp: int) -> tuple[int, int]:
+    """The l2 norm of mantissas * 2**exp: each square rounded, their _fsum
+    in the given order, then a rounded square root."""
+    return _sqrt(*_fsum(_round(m * m, 2 * exp) for m in mantissas))
+
+
+def _to_float(man: int, exp: int) -> float:
+    """man * 2**exp rounded to 53 bits, half to even, then to a float64 (a
+    subnormal rounds again; past the float range, an infinity)."""
+    m, e = _round(man, exp, 53)
+    try:
+        return math.ldexp(m, e)
+    except OverflowError:
+        return math.copysign(math.inf, m)
+
+
+def _exact(man: int, exp: int) -> Fraction:
+    return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
+
+
+def _binary(v) -> tuple[int, int]:
+    """A float exactly, or an integer rounded to PRECISION bits, as
+    (mantissa, exponent)."""
+    if isinstance(v, float):
+        if not math.isfinite(v):
+            raise DomainError("entries must be finite")
+        num, den = v.as_integer_ratio()
+        return num, 1 - den.bit_length()
+    return _round(operator.index(v), 0)
+
+
+def _tail(mantissas, s: int) -> list[int]:
+    """The magnitudes left when the s largest are removed, largest first."""
+    return sorted(map(abs, mantissas), reverse=True)[s:]
 
 
 @dataclass(frozen=True)
 class RealVector:
-    """Extended-precision real vector (mpmath entries at PRECISION bits)."""
+    """Real vector: entry i is exactly mantissas[i] * 2**exponent."""
 
-    entries: tuple
+    mantissas: tuple[int, ...]
+    exponent: int
 
     def __post_init__(self):
-        if not self.entries:
+        if not self.mantissas:
             raise DimensionError("empty vector")
-        if not all(mpmath.isfinite(e) for e in self.entries):
-            raise DomainError("entries must be finite")
+
+    @classmethod
+    def from_pairs(cls, pairs) -> "RealVector":
+        """Entries given as (mantissa, exponent). The shared exponent is that
+        of the lowest set bit of any entry, so equal values compare equal."""
+        pairs = list(pairs)
+        low = min((e + (m & -m).bit_length() - 1 for m, e in pairs if m), default=0)
+        return cls(tuple(m << (e - low) if e >= low else m >> (low - e) for m, e in pairs), low)
 
     @classmethod
     def from_values(cls, values) -> "RealVector":
-        with workprec(PRECISION):
-            return cls(tuple(mpf(v) for v in values))
+        """Floats exactly and integers rounded to PRECISION bits."""
+        return cls.from_pairs(_binary(v) for v in values)
 
     def __len__(self) -> int:
-        return len(self.entries)
-
-    def norm(self):
-        with workprec(PRECISION):
-            return mpmath.sqrt(mpmath.fsum(e * e for e in self.entries))
+        return len(self.mantissas)
 
     def to_floats(self) -> list[float]:
-        return [float(e) for e in self.entries]
+        return [_to_float(m, self.exponent) for m in self.mantissas]
 
 
 @dataclass(frozen=True)
@@ -107,14 +222,13 @@ class LcdScanResult:
 
 
 def normalize(v) -> RealVector:
-    """v / ||v||_2 at PRECISION bits, for a RealVector or a sequence of
-    values that mpf accepts (ints, floats, decimal strings)."""
-    vec = v if isinstance(v, RealVector) else RealVector.from_values(v)
-    with workprec(PRECISION):
-        nrm = vec.norm()
-        if nrm == 0:
-            raise DomainError("cannot normalize the zero vector")
-        return RealVector(tuple(e / nrm for e in vec.entries))
+    """v / ||v||_2, for a RealVector or a sequence of floats and integers:
+    the rounded norm (_norm), then one rounded quotient per entry."""
+    x = v if isinstance(v, RealVector) else RealVector.from_values(v)
+    norm, norm_exp = _norm(x.mantissas, x.exponent)
+    if not norm:
+        raise DomainError("cannot normalize the zero vector")
+    return RealVector.from_pairs(_quotient(m, norm, x.exponent - norm_exp) for m in x.mantissas)
 
 
 def normal_vector(rows: IntMatrix) -> RealVector:
@@ -130,13 +244,20 @@ def normal_vector(rows: IntMatrix) -> RealVector:
     return normalize(basis[0])
 
 
+# ||x||_2**2 must lie in [(1 - 1e-9)**2, (1 + 1e-9)**2]
+_UNIT_BOUNDS = ((1 - Fraction(1e-9)) ** 2, (1 + Fraction(1e-9)) ** 2)
+
+
 def _unit_check(x: RealVector):
-    if abs(float(x.norm()) - 1.0) > _UNIT_NORM_TOL:
+    """||x||_2 within 1e-9 of 1, compared exactly on the squares."""
+    low, high = _UNIT_BOUNDS
+    if not low <= _exact(sum(m * m for m in x.mantissas), 2 * x.exponent) <= high:
         raise DomainError("input must be a unit vector")
 
 
-def sparse_residual(x: RealVector, s: int):
-    """l2 norm of x with its s largest-magnitude entries removed.
+def sparse_residual(x: RealVector, s: int) -> float:
+    """l2 norm of x with its s largest-magnitude entries removed, rounded as
+    _norm does, as a float.
 
     This is the minimal ||v||_2 over all decompositions x = u + v with u
     s-sparse.
@@ -144,49 +265,60 @@ def sparse_residual(x: RealVector, s: int):
     n = len(x)
     if not 0 <= s <= n:
         raise DomainError(f"sparsity s must lie in [0, {n}]")
-    if s == n:
-        return mpf(0)
-    with workprec(PRECISION):
-        mags = sorted((abs(e) for e in x.entries), reverse=True)
-        return mpmath.sqrt(mpmath.fsum(e * e for e in mags[s:]))
+    return _to_float(*_norm(_tail(x.mantissas, s), x.exponent))
 
 
 def is_compressible(x: RealVector, p: LcdParams) -> bool:
-    """Whether x is within l2 distance beta of a floor(alpha*n)-sparse vector."""
+    """Whether x is within l2 distance beta of a floor(alpha*n)-sparse
+    vector, decided exactly: the squared residual against beta**2."""
     _unit_check(x)
-    s = p.sparsity_count(len(x))
-    with workprec(PRECISION):
-        return sparse_residual(x, s) <= mpf(p.beta)
-
-
-def fractional_part(y):
-    """y - round(y) with round-half-up, so the result lies in [-1/2, 1/2)."""
-    if isinstance(y, mpf):
-        return y - mpmath.floor(y + mpf(1) / 2)
-    return float(y) - math.floor(y + 0.5)
+    tail = _tail(x.mantissas, p.sparsity_count(len(x)))
+    return _exact(sum(m * m for m in tail), 2 * x.exponent) <= Fraction(p.beta) ** 2
 
 
 def lcd_witness(x: RealVector, d, p: LcdParams) -> bool:
     """Whether {d*x} = u + v with u floor(alpha*n)-sparse and
-    ||v||_2 <= beta * min(d, sqrt(n))."""
+    ||v||_2 <= beta * min(d, sqrt(n)), decided exactly on the squares."""
     if not d > 0:
         raise DomainError("D must be positive")
-    s = p.sparsity_count(len(x))
-    with workprec(PRECISION):
-        bound = mpf(p.beta) * min(mpf(d), mpmath.sqrt(len(x)))
-        return _lcd_residual(x, d, s)[0] <= bound
+    n = len(x)
+    bound = Fraction(p.beta) ** 2 * min(Fraction(d) ** 2, n)
+    return _lcd_point(x, d, p.sparsity_count(n))[0] <= bound
 
 
-def _lcd_residual(x: RealVector, d, s: int) -> tuple:
-    """(residual, support) for {d*x}: support the indices of its s largest
-    magnitudes (the lower index first among ties), in increasing order, and
-    residual the l2 norm of the other entries, at PRECISION bits."""
-    with workprec(PRECISION):
-        dd = mpf(d)
-        frac = [fractional_part(dd * e) for e in x.entries]
-        order = sorted(range(len(frac)), key=lambda i: (-abs(frac[i]), i))
-        residual = mpmath.sqrt(mpmath.fsum(frac[i] ** 2 for i in order[s:]))
-    return residual, tuple(sorted(order[:s]))
+@functools.lru_cache(maxsize=1)
+def _lcd_point(x: RealVector, d, s: int) -> tuple[Fraction, tuple[int, ...], float]:
+    """{d*x} at one grid point: (the exact squared l2 norm of its n - s
+    smallest magnitudes, the certificate's support, its residual).
+
+    d*x is formed once, exactly, as integer products. The exact
+    {y} = y - floor(y + 1/2) is taken on them in integers. The certificate
+    follows the rounded sequence: y = d*x_i rounded, f = y - floor(y + 1/2)
+    with the sum and the difference rounded; the support is the indices of
+    the s largest |f| (the lower index first among ties), in increasing
+    order, and the residual the _norm of the other f, as a float. The last
+    point is cached, so lcd_scan's certificate reuses the confirmation that
+    lcd_witness has just made.
+    """
+    dm, de = _binary(d)
+    exp = x.exponent + de
+    products = [dm * m for m in x.mantissas]
+    if exp >= 0:
+        exact = [0] * len(products)
+    else:
+        half, mask = 1 << (-exp - 1), (1 << -exp) - 1
+        exact = [((y + half) & mask) - half for y in products]
+    residual_sq = _exact(sum(t * t for t in _tail(exact, s)), 2 * exp)
+    rounded = []
+    for y in products:
+        ym, ye = _round(y, exp)
+        tm, te = _fsum(((ym, ye), (1, -1)))
+        floor = tm << te if te >= 0 else tm >> -te
+        rounded.append(_fsum(((ym, ye), (-floor, 0))))
+    f = RealVector.from_pairs(rounded)
+    order = sorted(range(len(products)), key=lambda i: (-abs(f.mantissas[i]), i))
+    residual = _to_float(*_norm([f.mantissas[i] for i in order[s:]], f.exponent))
+    return residual_sq, tuple(sorted(order[:s])), residual
 
 
 # Grid rows evaluated per numpy block: bounds the float64 working set at
@@ -198,7 +330,7 @@ _SCAN_BLOCK_ENTRIES = 1 << 16
 def _float_margin(d: np.ndarray, n: int) -> np.ndarray:
     """Rounding margin for deciding a grid point in float64.
 
-    Bounds |float64 residual - mpmath residual| plus the difference of the
+    Bounds |float64 residual - exact residual| plus the difference of the
     two bounds beta*min(D, sqrt(n)). With u = 2**-53 and each x_i rounded
     to nearest, y_i = fl(D * fl(x_i)) is within D*|x_i|*(2u + u^2) of
     D*x_i. The magnitude |{y}| = dist(y, Z) is 1-Lipschitz in y, and
@@ -209,8 +341,7 @@ def _float_margin(d: np.ndarray, n: int) -> np.ndarray:
     Squaring and summing n - s terms, then the square root, add a relative
     error of at most (n + 2) * u / 2 to a residual that is at most
     sqrt(n)/2: at most n**1.5 * u. The float bound is off by at most
-    sqrt(n) * 2u. The mpmath side, at PRECISION = 128 bits, is off by under
-    (D + sqrt(n)) * 2**-61.
+    sqrt(n) * 2u. The exact side adds nothing.
 
     The margin is 4x the total: a term D * 2**-50 relative to D, and an
     absolute term n**1.5 * 2**-50.
@@ -226,8 +357,8 @@ def lcd_scan(x: RealVector, p: LcdParams, d_max: float, grid_step: float) -> Lcd
 
     Grid points are evaluated in float64 a block at a time. A point is
     decided in float only when its residual clears beta*min(D, sqrt(n)) by
-    _float_margin; every point inside the margin is confirmed by the
-    mpmath lcd_witness, and the certificate is computed in mpmath.
+    _float_margin; every point inside the margin is confirmed exactly by
+    lcd_witness, and the certificate comes from the same _lcd_point.
     """
     if not 0 < grid_step <= d_max:
         raise DomainError("need 0 < grid_step <= d_max")
@@ -250,12 +381,12 @@ def lcd_scan(x: RealVector, p: LcdParams, d_max: float, grid_step: float) -> Lcd
         for i in np.flatnonzero(gap <= margin):
             dj = float(d[i])
             if gap[i] < -margin[i] or lcd_witness(x, dj, p):
-                residual, support = _lcd_residual(x, dj, s)
+                _, support, residual = _lcd_point(x, dj, s)
                 return LcdScanResult(
                     lcd_upper=dj,
                     grid_step=grid_step,
                     d_max=d_max,
-                    certificate=LcdCertificate(dj, support, float(residual)),
+                    certificate=LcdCertificate(dj, support, residual),
                 )
     return LcdScanResult(lcd_upper=math.inf, grid_step=grid_step, d_max=d_max, certificate=None)
 
@@ -265,20 +396,19 @@ def spread_check(x: RealVector, alpha: float, gamma: float) -> bool:
     set J = {i: |x_i| <= 1/sqrt(alpha*n - 1)}.
 
     The magnitude |x_i| is used for membership; a one-sided comparison
-    would make J, and the inequality, sign-dependent.
+    would make J, and the inequality, sign-dependent. Both are decided
+    exactly on the squares: i is in J when x_i**2 * (alpha*n - 1) <= 1.
     """
     n = len(x)
     an = Fraction(alpha) * n
     if an <= 1:
         raise DomainError("alpha * n must exceed 1")
-    with workprec(PRECISION):
-        thresh = 1 / mpmath.sqrt(mpf(an.numerator) / an.denominator - 1)
-        small = [e for e in x.entries if abs(e) <= thresh]
-        if not small:
-            return False
-        total = mpmath.fsum(e * e for e in small)
-        peak = max(abs(e) for e in small)
-        return total >= peak * peak + mpf(gamma) ** 2
+    scale = _exact(1, 2 * x.exponent)
+    limit = 1 / ((an - 1) * scale)
+    small = [q for q in (m * m for m in x.mantissas) if q <= limit]
+    if not small:
+        return False
+    return (sum(small) - max(small)) * scale >= Fraction(gamma) ** 2
 
 
 def spectral_norm(r: IntMatrix, scale_m: int) -> float:

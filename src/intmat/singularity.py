@@ -184,11 +184,19 @@ def exact_singular_fraction(n: int, m: int, budget: int = DEFAULT_ENUM_BUDGET) -
     last row once, in int64: `batch_det_fits_int64` bounds every minor and
     every partial sum of c . r. The budget still counts all (2m+1)**(n*n)
     matrices; n = 1 and m = 0 are closed forms. Raises BudgetExceededError
-    before the first chunk when that int64 bound fails: every such n >= 2,
-    m >= 1 has at least 2**64 row stacks, too many ever to finish.
+    before the budget check, with `required` None, when that int64 bound
+    fails: every such n >= 2, m >= 1 has at least 2**64 row stacks, too
+    many ever to finish, so no budget would do.
     """
     if n < 1 or m < 0:
         raise DomainError("need n >= 1 and m >= 0")
+    if n >= 2 and m >= 1 and not batch_det_fits_int64(n, m):
+        raise BudgetExceededError(
+            f"exact enumeration runs in int64 only, and n = {n}, m = {m} is past"
+            f" the int64 bound of the minor expansion (batch_det_fits_int64)",
+            required=None,
+            budget=budget,
+        )
     width = 2 * m + 1
     total = width ** (n * n)
     if total > budget:
@@ -200,13 +208,6 @@ def exact_singular_fraction(n: int, m: int, budget: int = DEFAULT_ENUM_BUDGET) -
         )
     if n == 1 or m == 0:
         return Fraction(1, width) if n == 1 else Fraction(1)
-    if not batch_det_fits_int64(n, m):
-        raise BudgetExceededError(
-            f"exact enumeration runs in int64 only, and n = {n}, m = {m} is past"
-            f" the int64 bound of the minor expansion (batch_det_fits_int64)",
-            required=total,
-            budget=budget,
-        )
     stacks = width ** (n * (n - 1))
     tally: Counter[tuple] = Counter()
     for start in range(0, stacks, _ENUM_CHUNK):

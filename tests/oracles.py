@@ -150,26 +150,111 @@ def top_singular_value_2x2(rows, scale):
     return math.sqrt((tr + disc) / 2)
 
 
+def fractional_part(y):
+    """{y} = y - round(y) with round-half-up, so the result lies in
+    [-1/2, 1/2): the convention of lcd_witness, in float64."""
+    return float(y) - math.floor(y + 0.5)
+
+
+def exact_entries(x):
+    """The entries of a RealVector as exact Fractions."""
+    return [Fraction(m) * Fraction(2) ** x.exponent for m in x.mantissas]
+
+
+def round_fraction(q, bits):
+    """q rounded to `bits` significant bits, half to even."""
+    if q == 0:
+        return q
+    sign, q = (-1 if q < 0 else 1), abs(q)
+    e = q.numerator.bit_length() - q.denominator.bit_length()  # 2**(e-1) < q < 2**(e+1)
+    scaled = q * Fraction(2) ** (bits - e)
+    if scaled >= 2**bits:
+        e, scaled = e + 1, scaled / 2
+    return sign * round(scaled) * Fraction(2) ** (e - bits)
+
+
+# The library's former geometry arithmetic: mpmath at 128 bits. The integer
+# replay in intmat.geometry and intmat.formats must give the same values
+# and print the same bytes.
+MP_PRECISION = 128
+
+
+def mp_entries(x):
+    """A RealVector's entries as mpmath reals (exact: each has at most 128
+    significant bits)."""
+    import mpmath
+
+    with mpmath.workprec(MP_PRECISION):
+        return [mpmath.mpf((m, x.exponent)) for m in x.mantissas]
+
+
+def mp_fraction(e):
+    """An mpf as an exact Fraction."""
+    man, exp = e.man_exp  # the magnitude's
+    return (-1 if e < 0 else 1) * Fraction(man) * Fraction(2) ** exp
+
+
+def mp_parse(token):
+    """mpmath's reading of a decimal token at 128 bits. Up to a decimal
+    exponent of 400 in magnitude (after the point is moved to the end of the
+    digits) this is the exact value rounded once, half to even; past it
+    mpmath rounds the digits and the power of ten separately, then again."""
+    import mpmath
+
+    with mpmath.workprec(MP_PRECISION):
+        return mpmath.mpf(token)
+
+
+def mp_normalize(values):
+    """v / ||v||_2 with mpf entries: the former `normalize`."""
+    import mpmath
+
+    with mpmath.workprec(MP_PRECISION):
+        entries = [mpmath.mpf(v) for v in values]
+        norm = mpmath.sqrt(mpmath.fsum(e * e for e in entries))
+        return [e / norm for e in entries]
+
+
+def mp_format(entries, digits):
+    """The former `format_vector` on mpf entries."""
+    import mpmath
+
+    with mpmath.workprec(MP_PRECISION):
+        return "".join([f"{len(entries)}\n"] + [mpmath.nstr(e, digits) + "\n" for e in entries])
+
+
+def mp_sparse_residual(entries, s):
+    """The former `sparse_residual`, as a float."""
+    import mpmath
+
+    with mpmath.workprec(MP_PRECISION):
+        mags = sorted((abs(e) for e in entries), reverse=True)
+        return float(mpmath.sqrt(mpmath.fsum(e * e for e in mags[s:])))
+
+
 def lcd_scan_oracle(x, p, d_max, grid_step):
-    """The LCD scan one grid point at a time, every point in mpmath.
+    """The LCD scan one grid point at a time, each point decided by the
+    library's exact lcd_witness.
 
     This is the library's former lcd_scan; the float-first scan must agree
     with it on lcd_upper and on every certificate field. The certificate is
-    computed here: {d*x} at 128 bits, its s largest magnitudes (the lower
-    index first among ties) as the support, the l2 norm of the rest as the
-    residual.
+    computed here, in mpmath: {d*x} at 128 bits, its s largest magnitudes
+    (the lower index first among ties) as the support, the l2 norm of the
+    rest as the residual.
     """
     import mpmath
 
-    from intmat.geometry import LcdCertificate, LcdScanResult, fractional_part, lcd_witness
+    from intmat.geometry import LcdCertificate, LcdScanResult, lcd_witness
 
     s = p.sparsity_count(len(x))
     steps = int(d_max / grid_step + 1e-9)
+    entries = mp_entries(x)
     for j in range(1, steps + 1):
         d = j * grid_step
         if lcd_witness(x, d, p):
-            with mpmath.workprec(128):
-                frac = [fractional_part(mpmath.mpf(d) * e) for e in x.entries]
+            with mpmath.workprec(MP_PRECISION):
+                ys = [mpmath.mpf(d) * e for e in entries]
+                frac = [y - mpmath.floor(y + mpmath.mpf(1) / 2) for y in ys]
                 order = sorted(range(len(frac)), key=lambda i: (-abs(frac[i]), i))
                 rest = mpmath.sqrt(mpmath.fsum(frac[i] * frac[i] for i in order[s:]))
             return LcdScanResult(

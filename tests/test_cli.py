@@ -48,6 +48,16 @@ def test_exact_budget_exceeded_exit_2(capsys):
     assert "budget" in err
 
 
+@pytest.mark.parametrize("n", ["9", "100000"])
+def test_exact_past_the_int64_bound_asks_for_no_budget(capsys, n):
+    # the int64 bound is checked first: no budget would let (9, 1) run, and
+    # (100000, 1) once computed 3**(10**10) for its budget check
+    code, out, err = run(capsys, ["exact", "--n", n, "--m", "1"])
+    assert code == 2 and out == ""
+    assert "int64" in err and "rerun with budget" not in err
+    assert err.count("\n") == 1
+
+
 def test_exact_zero_alphabet_closed_form(capsys):
     code, out, _ = run(capsys, ["exact", "--n", "20", "--m", "0", "--json"])
     assert code == 0
@@ -393,6 +403,27 @@ def test_import_intmat_loads_neither_numpy_nor_mpmath():
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env=env, timeout=60)
     assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+
+def test_import_intmat_cli_loads_no_mpmath():
+    probe = ("import sys; import intmat.cli; intmat.cli.build_parser();"
+             " print('mpmath' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(Path(intmat.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+
+
+@pytest.mark.parametrize("exc, code", [(MemoryError(), 2), (OverflowError("math range error"), 1)])
+def test_memory_and_overflow_errors_print_one_line(capsys, monkeypatch, exc, code):
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "exact_singular_fraction", fail)
+    rc, out, err = run(capsys, ["exact", "--n", "2", "--m", "1"])
+    assert rc == code and out == ""
+    assert err.startswith("intmat: ") and err.count("\n") == 1
+    assert err == ("intmat: out of memory\n" if code == 2 else "intmat: math range error\n")
 
 
 def test_missing_file_exit_1(capsys):

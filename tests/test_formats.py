@@ -1,6 +1,10 @@
-import pytest
+from fractions import Fraction
 
-from intmat.errors import DimensionError
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from intmat.errors import DimensionError, DomainError
 from intmat.formats import (
     format_matrix,
     format_vector,
@@ -11,8 +15,18 @@ from intmat.formats import (
     write_matrix,
     write_vector,
 )
-from intmat.geometry import RealVector
+from intmat.geometry import RealVector, normalize, sparse_residual
 from intmat.linalg import IntMatrix
+
+from oracles import (
+    exact_entries,
+    mp_format,
+    mp_fraction,
+    mp_normalize,
+    mp_parse,
+    mp_sparse_residual,
+    round_fraction,
+)
 
 
 def test_matrix_round_trip(tmp_path):
@@ -35,11 +49,11 @@ def test_matrix_parse_errors():
 
 
 def test_vector_round_trip(tmp_path):
-    v = RealVector.from_values(["0.125", "-3.5", "2"])
+    v = parse_vector("3\n0.125\n-3.5\n2\n")
     path = tmp_path / "v.txt"
     write_vector(v, path)
     back = read_vector(path)
-    assert [float(e) for e in back.entries] == [0.125, -3.5, 2.0]
+    assert back == v and back.to_floats() == [0.125, -3.5, 2.0]
 
 
 def test_vector_parse_errors():
@@ -47,6 +61,60 @@ def test_vector_parse_errors():
         parse_vector("3\n1.0 2.0\n")
     with pytest.raises(DimensionError):
         parse_vector("")
+    for token in ("abc", "1.5L", "1/3", "0x10"):
+        with pytest.raises(ValueError):
+            parse_vector(f"1\n{token}\n")
+    for token in ("inf", "-Infinity", "nan"):
+        with pytest.raises(DomainError):
+            parse_vector(f"1\n{token}\n")
+
+
+@st.composite
+def _decimal_token(draw, exponents):
+    """A decimal literal of 1-40 digits whose value is digits * 10**e with e
+    drawn from `exponents`, the radix point anywhere in the digits. (mpmath
+    refuses ".0" and "-.00e5", so a zero gets a leading "0".)"""
+    digits = draw(st.text("0123456789", min_size=1, max_size=40))
+    point = draw(st.integers(0, len(digits)))
+    sign = draw(st.sampled_from(["", "-", "+"]))
+    e = draw(exponents) + len(digits) - point
+    whole = digits[:point] or ("" if digits.strip("0") else "0")
+    return f"{sign}{whole}.{digits[point:]}e{e}"
+
+
+_TOKENS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    _decimal_token(st.integers(-400, 400)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tokens=st.lists(_TOKENS, min_size=1, max_size=8), data=st.data())
+def test_integer_geometry_matches_the_mpmath_oracle(tokens, data):
+    mp = [mp_parse(t) for t in tokens]
+    v = parse_vector(f"{len(tokens)}\n" + "\n".join(tokens) + "\n")
+    assert exact_entries(v) == [mp_fraction(e) for e in mp]
+    assert v.to_floats() == [float(e) for e in mp]
+    s = data.draw(st.integers(0, len(tokens)))
+    assert sparse_residual(v, s) == mp_sparse_residual(mp, s)
+    if not any(mp):
+        return
+    unit = normalize(v)
+    mp_unit = mp_normalize(mp)
+    assert exact_entries(unit) == [mp_fraction(e) for e in mp_unit]
+    assert unit.to_floats() == [float(e) for e in mp_unit]
+    for digits in range(1, 41):
+        assert format_vector(v, digits) == mp_format(mp, digits)
+        assert format_vector(unit, digits) == mp_format(mp_unit, digits)
+
+
+@settings(max_examples=100, deadline=None)
+@given(token=_decimal_token(st.integers(-1200, 1200)))
+def test_parse_rounds_once_at_any_exponent(token):
+    # past a decimal exponent of 400 mpmath rounds twice; the parse keeps
+    # rounding the exact value once, half to even
+    (value,) = exact_entries(parse_vector(f"1\n{token}\n"))
+    assert value == round_fraction(Fraction(token), 128)
 
 
 def test_vector_header_is_length():

@@ -1,14 +1,14 @@
 import math
-import mpmath
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 import intmat.geometry as geometry
-from intmat.errors import DomainError
+from intmat.errors import DimensionError, DomainError
 from intmat.geometry import (
     LcdParams,
     RealVector,
-    fractional_part,
     is_compressible,
     lcd_scan,
     lcd_witness,
@@ -22,7 +22,17 @@ from intmat.geometry import (
 from intmat.linalg import IntMatrix, kernel_basis
 from intmat.sampling import EntryDistribution, Seed, generator
 
-from oracles import brute_sparse_residual, lcd_scan_oracle, top_singular_value_2x2
+from oracles import (
+    brute_sparse_residual,
+    exact_entries,
+    fractional_part,
+    lcd_scan_oracle,
+    mp_entries,
+    mp_fraction,
+    mp_normalize,
+    mp_sparse_residual,
+    top_singular_value_2x2,
+)
 
 
 def unit(values):
@@ -31,15 +41,23 @@ def unit(values):
 
 def test_normalize_3_4_5():
     v = normalize([3, 4])
-    assert float(v.entries[0]) == pytest.approx(0.6, abs=1e-30)
-    assert float(v.entries[1]) == pytest.approx(0.8, abs=1e-30)
+    a, b = exact_entries(v)
+    assert abs(a - Fraction(3, 5)) <= Fraction(1, 10**30)
+    assert abs(b - Fraction(4, 5)) <= Fraction(1, 10**30)
 
 
 def test_normalize_idempotent():
     v = unit([1.0, 2.0, 3.0])
     w = normalize(v)
-    assert all(abs(float(a - b)) < 1e-35 for a, b in zip(v.entries, w.entries))
-    assert abs(float(w.norm()) - 1.0) < 2.0**-64
+    assert all(abs(a - b) < 1e-35 for a, b in zip(exact_entries(v), exact_entries(w)))
+    assert abs(sum(e * e for e in exact_entries(w)) - 1) < 2.0**-63
+
+
+def test_normalize_sums_squares_as_the_oracle_does():
+    # 1 lies more than 256 bits below the other squares, so the oracle's sum
+    # drops it; kept, it would break the rounding tie of 3 * 1.79e308**2
+    values = [1.0] + [1.7976931348623155e308] * 3
+    assert exact_entries(normalize(values)) == [mp_fraction(e) for e in mp_normalize(values)]
 
 
 def test_normalize_zero_rejected():
@@ -57,17 +75,16 @@ def test_normalized_kernel_residual():
         if len(basis) != 1:
             continue
         found += 1
-        x = normalize(basis[0])
-        with mpmath.workprec(geometry.PRECISION):
-            for i in range(4):
-                dot = mpmath.fsum(int(rows[i][j]) * x.entries[j] for j in range(5))
-                assert abs(dot) <= mpmath.mpf(2) ** -64
+        x = exact_entries(normalize(basis[0]))
+        for i in range(4):
+            dot = sum(int(rows[i][j]) * x[j] for j in range(5))
+            assert abs(dot) <= Fraction(1, 2**64)
 
 
 def test_normal_vector_coordinate_kernel():
     rows = IntMatrix.from_rows([[1, 0, 0], [0, 1, 0]])
     v = normal_vector(rows)
-    assert [float(e) for e in v.entries] == [0.0, 0.0, 1.0]
+    assert v.to_floats() == [0.0, 0.0, 1.0]
 
 
 def test_normal_vector_orthogonal_to_rows():
@@ -75,11 +92,10 @@ def test_normal_vector_orthogonal_to_rows():
     for _ in range(20):
         rows = rng.integers(-8, 9, size=(5, 6)).tolist()
         m = IntMatrix.from_rows(rows)
-        x = normal_vector(m)
-        with mpmath.workprec(geometry.PRECISION):
-            for row in rows:
-                dot = mpmath.fsum(int(a) * e for a, e in zip(row, x.entries))
-                assert abs(dot) <= mpmath.mpf(2) ** -64
+        x = exact_entries(normal_vector(m))
+        for row in rows:
+            dot = sum(int(a) * e for a, e in zip(row, x))
+            assert abs(dot) <= Fraction(1, 2**64)
 
 
 def test_normal_vector_degenerate_is_deterministic():
@@ -87,10 +103,9 @@ def test_normal_vector_degenerate_is_deterministic():
     rows = IntMatrix.from_rows([[1, 2, 3, 4], [1, 2, 3, 4], [0, 1, 0, 2]])
     a = normal_vector(rows)
     b = normal_vector(rows)
-    assert [str(e) for e in a.entries] == [str(e) for e in b.entries]
+    assert a == b
     # lowest leading free-column choice matches the first kernel basis vector
-    expect = normalize(kernel_basis(rows)[0])
-    assert [str(e) for e in a.entries] == [str(e) for e in expect.entries]
+    assert a == normalize(kernel_basis(rows)[0])
 
 
 def test_sparse_residual_basis_vector():
@@ -164,7 +179,7 @@ def test_fractional_part_conventions():
     assert fractional_part(-0.5) == -0.5
     assert fractional_part(0.5) == -0.5
     assert fractional_part(3.0) == 0.0
-    assert fractional_part(mpmath.mpf("2.25")) == mpmath.mpf("0.25")
+    assert fractional_part(2.25) == 0.25
     for y in np.random.default_rng(35).normal(scale=10, size=200):
         f = fractional_part(float(y))
         assert -0.5 <= f < 0.5
@@ -196,7 +211,7 @@ def test_lcd_witness_matches_definition_oracle():
         x = random_unit_vector(9, Seed(int(rng.integers(1 << 30))))
         d = float(rng.uniform(0.1, 4.0))
         s = p.sparsity_count(9)
-        frac = [float(fractional_part(d * float(e))) for e in x.entries]
+        frac = [fractional_part(d * e) for e in x.to_floats()]
         want = brute_sparse_residual(frac, s) <= p.beta * min(d, 3.0) + 1e-12
         assert lcd_witness(x, d, p) == want
 
@@ -317,6 +332,45 @@ def test_lcd_scan_matches_mpmath_oracle(monkeypatch):
     assert confirmations >= 3
 
 
+def _near_tie():
+    # the tail (1/2, 2**-200) has squared norm 1/4 + 2**-400 > beta**2 = 1/4,
+    # and that sum rounds to 1/4 at 128 bits
+    return RealVector.from_values([math.sqrt(3) / 2, 0.5, 2.0**-200]), LcdParams(0.34, 0.5)
+
+
+def test_compressibility_is_exact_at_a_near_tie():
+    x, p = _near_tie()
+    assert p.sparsity_count(3) == 1
+    tail = sorted(e * e for e in exact_entries(x))[:2]
+    assert sum(tail) > Fraction(p.beta) ** 2
+    # the 128-bit residual sits on the bound, and is still the one printed
+    assert mp_sparse_residual(mp_entries(x), 1) == p.beta
+    assert sparse_residual(x, 1) == p.beta
+    assert not is_compressible(x, p)
+
+
+def test_lcd_witness_is_exact_at_a_near_tie():
+    # every |x_i / 4| < 1/2, so {x/4} = x/4: the same near-tie, scaled
+    x, p = _near_tie()
+    tail = sorted((e / 4) ** 2 for e in exact_entries(x))[:2]
+    assert sum(tail) > (Fraction(p.beta) / 4) ** 2
+    assert mp_sparse_residual([e / 4 for e in mp_entries(x)], 1) == p.beta / 4
+    assert not lcd_witness(x, 0.25, p)
+    # the float pass cannot tell, so the scan confirms and finds nothing
+    assert not lcd_scan(x, p, d_max=0.25, grid_step=0.25).found
+
+
+def test_lcd_scan_forms_a_confirmed_point_once():
+    # at D = 1/8 the residual equals the bound: the float pass leaves it to
+    # lcd_witness, and the certificate reuses the products it formed
+    x = RealVector.from_values([math.sqrt(3) / 2, 0.5])
+    geometry._lcd_point.cache_clear()
+    res = lcd_scan(x, LcdParams(0.5, 0.5), d_max=1.0, grid_step=0.125)
+    info = geometry._lcd_point.cache_info()
+    assert res.found and res.lcd_upper == 0.125
+    assert (info.misses, info.hits) == (1, 1)
+
+
 def test_lcd_scan_validation():
     x = unit([1.0] * 4)
     with pytest.raises(DomainError):
@@ -400,7 +454,9 @@ def test_spectral_tail_probe():
 
 def test_real_vector_validation():
     with pytest.raises(DomainError):
-        RealVector((mpmath.mpf("inf"),))
+        RealVector.from_values([1.0, math.inf])
+    with pytest.raises(DimensionError):
+        RealVector((), 0)
     with pytest.raises(DomainError):
         LcdParams(alpha=0.0, beta=0.5)
 

@@ -6,16 +6,16 @@ space-separated decimal integers, newline-terminated.
 Vector files: first line "n", then n decimal reals (whitespace
 separated; written one per line). A real is read in Python's float literal
 syntax and rounded once, from its exact decimal value, to PRECISION bits,
-half to even; it is written with a fixed number of significant digits.
+half to even (RealVector.from_decimals); it is written with a fixed number
+of significant digits (RealVector.decimals).
 """
 
 from __future__ import annotations
 
-import math
 import os
 
-from .errors import DimensionError, DomainError
-from .geometry import RealVector, _quotient
+from .errors import DimensionError
+from .geometry import RealVector
 from .linalg import IntMatrix
 
 
@@ -62,65 +62,12 @@ def parse_vector(text: str) -> RealVector:
     values = tokens[1:]
     if len(values) != n:
         raise DimensionError(f"vector file declares {n} entries but carries {len(values)}")
-    return RealVector.from_pairs(_parse_real(t) for t in values)
-
-
-def _parse_real(token: str) -> tuple[int, int]:
-    """A decimal literal as (mantissa, exponent), rounded to PRECISION bits."""
-    float(token)  # Python's float literal syntax, else ValueError
-    mantissa, _, exp10 = token.replace("_", "").lower().partition("e")
-    whole, _, frac = mantissa.partition(".")
-    try:
-        digits, exp10 = int(whole + frac), int(exp10 or 0) - len(frac)
-    except ValueError:  # inf, infinity, nan
-        raise DomainError("entries must be finite") from None
-    return _quotient(digits * 10 ** max(exp10, 0), 10 ** max(-exp10, 0))
-
-
-_LOG2_10 = math.log(10, 2)
-
-
-def _decimal(man: int, exp: int, digits: int) -> str:
-    """man * 2**exp with `digits` significant digits.
-
-    The decimal digits of the value are truncated at a working precision
-    of int((digits + 3) * log2(10)) + 10 bits, then rounded at digit
-    `digits` on the next digit alone, half up. The number is printed in
-    fixed point when the position of its leading digit lies strictly
-    between min(-(digits // 3), -5) and `digits`, else with an exponent;
-    trailing zeros are stripped.
-    """
-    if not man:
-        return "0.0"
-    sign = "-" if man < 0 else ""
-    man = abs(man)
-    fixprec = max(int((digits + 3) * _LOG2_10) + 10 - exp - man.bit_length(), 0)
-    fixdps = int(fixprec / _LOG2_10 + 0.5)
-    shift = exp + fixprec
-    fixed = man << shift if shift >= 0 else man >> -shift
-    text = str(fixed * 10**fixdps >> fixprec)
-    exponent = len(text) - fixdps - 1
-    head = text[:digits]
-    if len(text) > digits and text[digits] in "56789":
-        head = str(int(head) + 1)
-        if len(head) > digits:
-            head, exponent = head[:digits], exponent + 1
-    split = 1
-    if min(-(digits // 3), -5) < exponent < digits:
-        if exponent < 0:
-            head = "0" * -exponent + head
-        else:
-            split = exponent + 1
-        exponent = 0
-    body = (head[:split] + "." + head[split:]).rstrip("0")
-    if body.endswith("."):
-        body += "0"
-    return sign + body + (f"e{exponent:+d}" if exponent else "")
+    return RealVector.from_decimals(values)
 
 
 def format_vector(v: RealVector, digits: int = 36) -> str:
     lines = [str(len(v))]
-    lines.extend(_decimal(m, v.exponent, digits) for m in v.mantissas)
+    lines.extend(v.decimals(digits))
     return "\n".join(lines) + "\n"
 
 

@@ -18,11 +18,15 @@ and quotients; a float64 rounded from the 128-bit value. The test suite's
 oracle runs the same steps in an arbitrary-precision float library at 128
 bits, and the bytes must match. The spectral-norm probe, whose contract is
 only 1e-6 accuracy, runs in float64.
+
+Decimal text is read by rounding the exact value of a literal once
+(RealVector.from_decimals) and written by truncating an entry's decimal
+expansion at a working precision, then rounding at the last digit printed
+(RealVector.decimals).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -166,11 +170,111 @@ class RealVector:
         """Floats exactly and integers rounded to PRECISION bits."""
         return cls.from_pairs(_binary(v) for v in values)
 
+    @classmethod
+    def from_decimals(cls, tokens) -> "RealVector":
+        """Decimal literals in Python's float syntax, each rounded once to
+        PRECISION bits (_parse_decimal)."""
+        return cls.from_pairs(_parse_decimal(t) for t in tokens)
+
     def __len__(self) -> int:
         return len(self.mantissas)
 
     def to_floats(self) -> list[float]:
         return [_to_float(m, self.exponent) for m in self.mantissas]
+
+    def decimals(self, digits: int) -> list[str]:
+        """Each entry with `digits` significant digits (_format_decimal)."""
+        return [_format_decimal(m, self.exponent, digits) for m in self.mantissas]
+
+
+# A nonzero decimal entry's leading digit must lie within 10**+-_DECIMAL_RANGE
+# (about 2**+-13300, far past the float64 range), and it may carry at most
+# _DECIMAL_DIGITS significant digits (int()'s default limit on a digit
+# string). Together they bound every power of ten a parse forms, and the
+# spread of binary exponents that a vector's shared exponent must span.
+_DECIMAL_RANGE = 4000
+_DECIMAL_DIGITS = 4300
+
+
+def _parse_decimal(token: str) -> tuple[int, int]:
+    """A decimal literal as (mantissa, exponent): its exact value rounded
+    once to PRECISION bits, half to even."""
+    float(token)  # Python's float literal syntax, else ValueError
+    text = token.replace("_", "").lower()
+    if "n" in text:  # inf, infinity, nan
+        raise DomainError("entries must be finite")
+    mantissa, _, exp10 = text.partition("e")
+    whole, _, frac = mantissa.lstrip("+-").partition(".")
+    digits = (whole + frac).lstrip("0")
+    significand = digits.rstrip("0")
+    if not significand:
+        return 0, 0
+    scale = exp10.lstrip("+-").lstrip("0") or "0"
+    if len(scale) > _DECIMAL_DIGITS:
+        lead = math.inf
+    else:
+        lead = int(scale) * (-1 if exp10.startswith("-") else 1) - len(frac) + len(digits) - 1
+    if not -_DECIMAL_RANGE <= lead <= _DECIMAL_RANGE:
+        raise DomainError(f"nonzero entries must lie between 1e-{_DECIMAL_RANGE} and "
+                          f"1e+{_DECIMAL_RANGE + 1} in magnitude")
+    if len(significand) > _DECIMAL_DIGITS:
+        raise DomainError(f"entries may carry at most {_DECIMAL_DIGITS} significant digits")
+    man = -int(significand) if mantissa.startswith("-") else int(significand)
+    exp = lead - len(significand) + 1
+    return _quotient(man * 10 ** max(exp, 0), 10 ** max(-exp, 0))
+
+
+_LOG2_10 = math.log(10, 2)
+
+
+def _numeral(n: int) -> str:
+    """str(n) for n >= 0, converted in pieces of at most about 2400 digits,
+    below int-to-str's digit limit."""
+    if n.bit_length() <= 8000:
+        return str(n)
+    half = n.bit_length() * 3 // 20  # about half its decimal digits
+    high, low = divmod(n, 10**half)
+    return _numeral(high) + _numeral(low).zfill(half)
+
+
+def _format_decimal(man: int, exp: int, digits: int) -> str:
+    """man * 2**exp with `digits` significant digits.
+
+    The decimal digits of the value are truncated at a working precision
+    of int((digits + 3) * log2(10)) + 10 bits, then rounded at digit
+    `digits` on the next digit alone, half up. The number is printed in
+    fixed point when the position of its leading digit lies strictly
+    between min(-(digits // 3), -5) and `digits`, else with an exponent;
+    trailing zeros are stripped.
+    """
+    if not man:
+        return "0.0"
+    sign = "-" if man < 0 else ""
+    man = abs(man)
+    fixprec = max(int((digits + 3) * _LOG2_10) + 10 - exp - man.bit_length(), 0)
+    fixdps = int(fixprec / _LOG2_10 + 0.5)
+    shift = exp + fixprec
+    fixed = man << shift if shift >= 0 else man >> -shift
+    text = _numeral(fixed * 10**fixdps >> fixprec)
+    exponent = len(text) - fixdps - 1
+    head = text[:digits]
+    if len(text) > digits and text[digits] in "56789":
+        kept = head.rstrip("9")
+        carried = kept[:-1] + str(int(kept[-1]) + 1) if kept else "1"
+        head = carried + "0" * (digits - len(kept))
+        if len(head) > digits:
+            head, exponent = head[:digits], exponent + 1
+    split = 1
+    if min(-(digits // 3), -5) < exponent < digits:
+        if exponent < 0:
+            head = "0" * -exponent + head
+        else:
+            split = exponent + 1
+        exponent = 0
+    body = (head[:split] + "." + head[split:]).rstrip("0")
+    if body.endswith("."):
+        body += "0"
+    return sign + body + (f"e{exponent:+d}" if exponent else "")
 
 
 @dataclass(frozen=True)
@@ -283,32 +387,33 @@ def lcd_witness(x: RealVector, d, p: LcdParams) -> bool:
         raise DomainError("D must be positive")
     n = len(x)
     bound = Fraction(p.beta) ** 2 * min(Fraction(d) ** 2, n)
-    return _lcd_point(x, d, p.sparsity_count(n))[0] <= bound
+    return _lcd_residual_sq(x, d, p.sparsity_count(n)) <= bound
 
 
-@functools.lru_cache(maxsize=1)
-def _lcd_point(x: RealVector, d, s: int) -> tuple[Fraction, tuple[int, ...], float]:
-    """{d*x} at one grid point: (the exact squared l2 norm of its n - s
-    smallest magnitudes, the certificate's support, its residual).
-
-    d*x is formed once, exactly, as integer products. The exact
-    {y} = y - floor(y + 1/2) is taken on them in integers. The certificate
-    follows the rounded sequence: y = d*x_i rounded, f = y - floor(y + 1/2)
-    with the sum and the difference rounded; the support is the indices of
-    the s largest |f| (the lower index first among ties), in increasing
-    order, and the residual the _norm of the other f, as a float. The last
-    point is cached, so lcd_scan's certificate reuses the confirmation that
-    lcd_witness has just made.
-    """
+def _products(x: RealVector, d) -> tuple[list[int], int]:
+    """d*x exactly, as integer products at one shared exponent."""
     dm, de = _binary(d)
-    exp = x.exponent + de
-    products = [dm * m for m in x.mantissas]
+    return [dm * m for m in x.mantissas], x.exponent + de
+
+
+def _lcd_residual_sq(x: RealVector, d, s: int) -> Fraction:
+    """The exact squared l2 norm of the n - s smallest magnitudes of {d*x},
+    with {y} = y - floor(y + 1/2) taken on the exact products in integers."""
+    products, exp = _products(x, d)
     if exp >= 0:
-        exact = [0] * len(products)
-    else:
-        half, mask = 1 << (-exp - 1), (1 << -exp) - 1
-        exact = [((y + half) & mask) - half for y in products]
-    residual_sq = _exact(sum(t * t for t in _tail(exact, s)), 2 * exp)
+        return Fraction(0)
+    half, mask = 1 << (-exp - 1), (1 << -exp) - 1
+    frac = [((y + half) & mask) - half for y in products]
+    return _exact(sum(t * t for t in _tail(frac, s)), 2 * exp)
+
+
+def _lcd_certificate(x: RealVector, d, s: int) -> LcdCertificate:
+    """The certificate of grid point d, from the rounded sequence: y = d*x_i
+    rounded, f = y - floor(y + 1/2) with the sum and the difference rounded;
+    the support is the indices of the s largest |f| (the lower index first
+    among ties), in increasing order, and the residual the _norm of the
+    other f, as a float."""
+    products, exp = _products(x, d)
     rounded = []
     for y in products:
         ym, ye = _round(y, exp)
@@ -318,7 +423,7 @@ def _lcd_point(x: RealVector, d, s: int) -> tuple[Fraction, tuple[int, ...], flo
     f = RealVector.from_pairs(rounded)
     order = sorted(range(len(products)), key=lambda i: (-abs(f.mantissas[i]), i))
     residual = _to_float(*_norm([f.mantissas[i] for i in order[s:]], f.exponent))
-    return residual_sq, tuple(sorted(order[:s])), residual
+    return LcdCertificate(d, tuple(sorted(order[:s])), residual)
 
 
 # Grid rows evaluated per numpy block: bounds the float64 working set at
@@ -358,7 +463,8 @@ def lcd_scan(x: RealVector, p: LcdParams, d_max: float, grid_step: float) -> Lcd
     Grid points are evaluated in float64 a block at a time. A point is
     decided in float only when its residual clears beta*min(D, sqrt(n)) by
     _float_margin; every point inside the margin is confirmed exactly by
-    lcd_witness, and the certificate comes from the same _lcd_point.
+    lcd_witness. The certificate of the first passing point is formed once
+    (_lcd_certificate).
     """
     if not 0 < grid_step <= d_max:
         raise DomainError("need 0 < grid_step <= d_max")
@@ -381,12 +487,11 @@ def lcd_scan(x: RealVector, p: LcdParams, d_max: float, grid_step: float) -> Lcd
         for i in np.flatnonzero(gap <= margin):
             dj = float(d[i])
             if gap[i] < -margin[i] or lcd_witness(x, dj, p):
-                _, support, residual = _lcd_point(x, dj, s)
                 return LcdScanResult(
                     lcd_upper=dj,
                     grid_step=grid_step,
                     d_max=d_max,
-                    certificate=LcdCertificate(dj, support, residual),
+                    certificate=_lcd_certificate(x, dj, s),
                 )
     return LcdScanResult(lcd_upper=math.inf, grid_step=grid_step, d_max=d_max, certificate=None)
 

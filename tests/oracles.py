@@ -174,8 +174,8 @@ def round_fraction(q, bits):
 
 
 # The library's former geometry arithmetic: mpmath at 128 bits. The integer
-# replay in intmat.geometry and intmat.formats must give the same values
-# and print the same bytes.
+# replay in intmat.geometry must give the same values and print the same
+# bytes.
 MP_PRECISION = 128
 
 

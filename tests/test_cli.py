@@ -15,10 +15,11 @@ from intmat import cli
 from intmat.cli import main
 from intmat.errors import DomainError
 from intmat.formats import read_matrix, write_matrix
+from intmat.geometry import normal_vector
 from intmat.linalg import IntMatrix
 from intmat.mds import is_mds
 
-from oracles import brute_is_mds
+from oracles import brute_is_mds, mp_entries, mp_format
 
 
 def run(capsys, argv):
@@ -393,6 +394,31 @@ def test_normal_vector_digits_below_one_exit_1(tmp_path, capsys, monkeypatch):
                                       "--digits", digits])
         assert code == 1 and out == ""
         assert err == "intmat: digits must be >= 1\n"
+
+
+def test_normal_vector_prints_past_the_int_to_str_limit(tmp_path, capsys):
+    # 5000 digits are truncated from a digit string longer than int-to-str's
+    # 4300-digit limit; mpmath converted it in pieces, and so does the
+    # formatter
+    path = tmp_path / "rows.txt"
+    write_matrix(IntMatrix.from_rows([[3, 1, 4, 1], [5, 9, 2, 6], [5, 3, 5, 8]]), path)
+    code, out, err = run(capsys, ["normal-vector", "--input", str(path), "--digits", "5000"])
+    assert (code, err) == (0, "")
+    assert out == mp_format(mp_entries(normal_vector(read_matrix(path))), 5000)
+
+
+def test_vector_entry_out_of_range_exit_1(tmp_path, capsys):
+    # the parse once formed 10**999999999 before dividing by it
+    for token in ("1e-999999999", "1e999999999"):
+        path = tmp_path / "v.txt"
+        path.write_text(f"2\n1\n{token}\n")
+        for argv in (["compress", "--input", str(path), "--alpha", "0.2", "--beta", "0.1"],
+                     ["lcd", "--input", str(path), "--alpha", "0.2", "--beta", "0.1",
+                      "--dmax", "4", "--step", "0.5"]):
+            code, out, err = run(capsys, argv)
+            assert code == 1 and out == ""
+            assert err == ("intmat: nonzero entries must lie between 1e-4000 and 1e+4001 "
+                           "in magnitude\n")
 
 
 def test_import_intmat_loads_neither_numpy_nor_mpmath():

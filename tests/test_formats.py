@@ -1,3 +1,5 @@
+import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -71,13 +73,14 @@ def test_vector_parse_errors():
 
 @st.composite
 def _decimal_token(draw, exponents):
-    """A decimal literal of 1-40 digits whose value is digits * 10**e with e
-    drawn from `exponents`, the radix point anywhere in the digits. (mpmath
+    """A decimal literal of 1-40 digits, the radix point anywhere in them,
+    that mpmath reads as an integer times 10**e with e drawn from
+    `exponents` (mpmath drops the fraction's trailing zeros first). (mpmath
     refuses ".0" and "-.00e5", so a zero gets a leading "0".)"""
     digits = draw(st.text("0123456789", min_size=1, max_size=40))
     point = draw(st.integers(0, len(digits)))
     sign = draw(st.sampled_from(["", "-", "+"]))
-    e = draw(exponents) + len(digits) - point
+    e = draw(exponents) + len(digits[point:].rstrip("0"))
     whole = digits[:point] or ("" if digits.strip("0") else "0")
     return f"{sign}{whole}.{digits[point:]}e{e}"
 
@@ -115,6 +118,21 @@ def test_parse_rounds_once_at_any_exponent(token):
     # rounding the exact value once, half to even
     (value,) = exact_entries(parse_vector(f"1\n{token}\n"))
     assert value == round_fraction(Fraction(token), 128)
+
+
+def test_vector_parse_bounds_the_exponent_and_the_digits():
+    # each refusal comes before any power of ten is formed
+    for token in ("1e-999999999", "1e999999999", "-2.5e-4001", "1e4001",
+                  "1e" + "9" * 5000, "1." + "1" * 4300):
+        start = time.perf_counter()
+        with pytest.raises(DomainError):
+            parse_vector(f"1\n{token}\n")
+        assert time.perf_counter() - start < 1.0
+    # zeros at either end of the digits count for nothing, as in mpmath
+    for token in ("1e4000", "-9.5e-4000", "0." + "1" * 4299 + "0" * 5000, "0" * 5000 + "2.5",
+                  "0e-999999999"):
+        (value,) = exact_entries(parse_vector(f"1\n{token}\n"))
+        assert value == round_fraction(Fraction(Decimal(token)), 128)
 
 
 def test_vector_header_is_length():

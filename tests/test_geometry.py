@@ -360,15 +360,21 @@ def test_lcd_witness_is_exact_at_a_near_tie():
     assert not lcd_scan(x, p, d_max=0.25, grid_step=0.25).found
 
 
-def test_lcd_scan_forms_a_confirmed_point_once():
+def test_lcd_scan_confirms_and_certifies_a_point_once(monkeypatch):
     # at D = 1/8 the residual equals the bound: the float pass leaves it to
-    # lcd_witness, and the certificate reuses the products it formed
+    # lcd_witness, which decides it exactly, and the certificate is formed
+    # once, for that point alone
+    calls = []
+    for name in ("lcd_witness", "_lcd_residual_sq", "_lcd_certificate"):
+        def counted(*args, _f=getattr(geometry, name), _name=name):
+            calls.append((_name, args[1]))
+            return _f(*args)
+        monkeypatch.setattr(geometry, name, counted)
     x = RealVector.from_values([math.sqrt(3) / 2, 0.5])
-    geometry._lcd_point.cache_clear()
     res = lcd_scan(x, LcdParams(0.5, 0.5), d_max=1.0, grid_step=0.125)
-    info = geometry._lcd_point.cache_info()
     assert res.found and res.lcd_upper == 0.125
-    assert (info.misses, info.hits) == (1, 1)
+    assert calls == [("lcd_witness", 0.125), ("_lcd_residual_sq", 0.125),
+                     ("_lcd_certificate", 0.125)]
 
 
 def test_lcd_scan_validation():

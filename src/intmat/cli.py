@@ -53,6 +53,10 @@ MAX_GRID = 1 << 20
 # Largest `estimate --n`: an n x n matrix fits one draw sub-batch.
 MAX_ESTIMATE_N = math.isqrt(_DRAW_BATCH)
 
+# Largest `normal-vector --digits`: each entry's digit string takes about
+# 0.3 s at 100,000 digits and grows faster than linearly past it.
+MAX_DIGITS = 100_000
+
 
 def _seeded_config(command: str, seed: Seed, fmt: str, output_path: str | None = None) -> dict:
     """The invocation parameters a seeded command echoes into its report."""
@@ -337,6 +341,8 @@ def _cmd_normal_vector(args, out) -> int:
         raise DomainError("m must be >= 1")
     if args.digits < 1:
         raise DomainError("digits must be >= 1")
+    if args.digits > MAX_DIGITS:
+        raise DomainError(f"digits must be <= {MAX_DIGITS}")
     matrix = read_matrix(args.input)
     vec = normal_vector(matrix)
     out.write(format_vector(vec, digits=args.digits))

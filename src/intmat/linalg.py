@@ -12,16 +12,20 @@ kernel vector proves the result. Every other case, and any case that the
 prime or the check rejects, back-substitutes on the fraction-free echelon
 form in integers, scaling the partial solution instead of dividing.
 
-`det_batch` gives exact int64 determinants of a whole batch at once for the
-Monte Carlo hot path: a division-free expansion over column subsets
-(`leading_minors`) for n <= 8, run in lanes of at most _LANE matrices, in
-int32 when the expansion's bound allows it for the batch's largest entry
-and in int64 otherwise. Callers use it only when `batch_det_fits_int64`
-holds. Every other batch goes through `nonsingular_mod_p`, elimination
-modulo one prime that can only prove a matrix nonsingular; the caller
-confirms the rest with the scalar big-integer routine. Exact enumeration
-stops the same expansion one level early, for the maximal minors of a batch
-of (n-1) x n row stacks.
+The Monte Carlo hot path (n <= 8) starts with `det_residues`: a
+division-free expansion over column subsets (`leading_minors`) run in
+uint16 lanes of at most _LANE matrices, whose wraparound gives every
+determinant modulo 2**16 for entries of any size. When the expansion's
+bound stays below 2**15 for the batch's largest entry (the int16-exact
+case) the residue is the determinant. Otherwise a nonzero residue proves
+the matrix nonsingular, and only the zero residues, the singular matrices
+and a few in 10**5 others, go on to an exact path. `det_batch` runs the
+same expansion in int32 or int64 lanes for exact determinants, and callers
+use it only when `batch_det_fits_int64` holds. Every other batch goes
+through `nonsingular_mod_p`, elimination modulo one prime that can only
+prove a matrix nonsingular; the caller confirms the rest with the scalar
+big-integer routine. Exact enumeration stops the same expansion one level
+early, for the maximal minors of a batch of (n-1) x n row stacks.
 
 `maximal_minors` gives every k x k minor of one k x n matrix modulo the
 prime _FILTER_PRIME (the MDS check) by the same expansion, one level of
@@ -49,19 +53,24 @@ from .errors import DimensionError
 # residues, within +-p**2: int64 never wraps.
 _FILTER_PRIME = (1 << 29) - 3
 
-# Largest n that det_batch expands over column subsets. The expansion costs
+# Largest n that det_batch and det_residues expand over column subsets, and
+# that Monte Carlo sends through the residue pass. The expansion costs
 # n * 2**(n-1) vector multiply-adds and `nonsingular_mod_p` ~n**3/3 lane
 # updates plus a remainder each, and the filter leaves every singular matrix
 # to a scalar big-integer determinant. On a 2-vCPU Xeon, per matrix of
 # entries in [-3, 3], in int64 lanes of 8,192, the expansion takes 2.1 us at
 # n = 8 against the filter's 3.5 us, 4.1 against 4.6 us at n = 9 (where its
-# int64 guard admits m <= 39 only) and 8.8 against 6.2 us at n = 10.
+# int64 guard admits m <= 39 only) and 8.8 against 6.2 us at n = 10. In
+# uint16 lanes (`det_residues`) it takes 0.4-0.6 us at n = 8, 1.1-1.3 at
+# n = 9 and 2.5-2.8 at n = 10, for entries of any size.
 _EXPANSION_MAX_N = 8
 
-# Matrices per lane of det_batch and nonsingular_mod_p: the widest level at
-# n = 8, 70 vectors of 8,192 lanes, takes 4.4 MiB in int64 and 2.2 MiB in
-# int32, and the filter's int64 copy of a 10 x 10 lane 6.4 MiB; a whole
-# 2**20-entry sub-batch from sampling is 8 MiB in int64 before any level.
+# Matrices per lane of det_batch, det_residues and nonsingular_mod_p: the
+# widest level at n = 8, 70 vectors of 8,192 lanes, takes 4.4 MiB in int64,
+# 2.2 MiB in int32 and 1.1 MiB in uint16, and the filter's int64 copy of a
+# 10 x 10 lane 6.4 MiB; a whole 2**20-entry sub-batch from sampling is 8 MiB
+# in int64 before any level. Per-call overhead grows below 8,192: the uint16
+# expansion at n = 8 takes 1.3 us per matrix in lanes of 2,048.
 _LANE = 1 << 13
 
 
@@ -503,6 +512,28 @@ def det_batch(mats: np.ndarray) -> np.ndarray:
     out = np.empty(b, dtype=np.int64)
     for lane in _lanes(b):
         a = np.array(mats[lane].transpose(1, 2, 0), dtype=dtype, order="C")
+        out[lane] = leading_minors(a, n)[0]
+    return out
+
+
+def det_residues(mats: np.ndarray) -> np.ndarray:
+    """det of each matrix of a (B, n, n) integer batch modulo 2**16, as uint16.
+
+    The expansion of `det_batch` run on uint16 lanes: astype(np.uint16)
+    reduces int16 and int64 entries alike modulo 2**16, and unsigned
+    wraparound keeps every sum and product exact modulo 2**16, so it holds
+    for entries of any size. A nonzero residue proves the matrix
+    nonsingular. A zero residue proves it singular only when |det| < 2**16;
+    `_expansion_fits(n, max|entry|, 15)` guarantees |det| < 2**15, and then
+    the residue read as int16 is the determinant itself.
+    """
+    b, n, n2 = mats.shape
+    if n != n2:
+        raise DimensionError("batch of square matrices required")
+    out = np.empty(b, dtype=np.uint16)
+    for lane in _lanes(b):
+        # reduce, then transpose: 3x faster than the other order in int64
+        a = np.ascontiguousarray(mats[lane].astype(np.uint16).transpose(1, 2, 0))
         out[lane] = leading_minors(a, n)[0]
     return out
 

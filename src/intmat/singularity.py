@@ -16,11 +16,14 @@ import numpy as np
 
 from .errors import BudgetExceededError, DomainError, FitError
 from .linalg import (
+    _EXPANSION_MAX_N,
     batch_det_fits_int64,
     det_batch,
+    det_residues,
     leading_minors,
     nonsingular_mod_p,
     _det_rows,
+    _expansion_fits,
 )
 from .sampling import EntryDistribution, Seed, generator, sample_batches
 
@@ -119,11 +122,22 @@ def map_shards(count_shard, trials: int, threads: int) -> int:
 def _count_singular(mats: np.ndarray, fits: bool) -> int:
     """Number of singular matrices in a (B, n, n) batch.
 
-    int64 `det_batch` when `fits` (batch_det_fits_int64 holds for n and the
-    alphabet). Otherwise `nonsingular_mod_p` proves most matrices
-    nonsingular, and only the rest (the singular ones and about 1 in p
-    others) take the exact big-integer `_det_rows`.
+    For n <= _EXPANSION_MAX_N, `det_residues` runs first. When
+    `_expansion_fits(n, top, 15)` holds for the batch's largest |entry| top,
+    every |det| < 2**15, so the residue is the determinant and its zeros are
+    the answer. Otherwise a nonzero residue proves a matrix nonsingular, and
+    only the zero residues (the singular matrices and about 1 in 2.5 * 10**4
+    others on uniform draws) go on to the exact path below: int64
+    `det_batch` when `fits` (batch_det_fits_int64 holds for n and the
+    alphabet), else `nonsingular_mod_p`, which proves most of them
+    nonsingular, and the exact big-integer `_det_rows` on the rest.
     """
+    n = mats.shape[1]
+    if n <= _EXPANSION_MAX_N:
+        zero = det_residues(mats) == 0
+        if _expansion_fits(n, max(int(mats.max()), -int(mats.min())), 15):
+            return int(np.count_nonzero(zero))
+        mats = mats[zero]
     if fits:
         return int(np.count_nonzero(det_batch(mats) == 0))
     return sum(_det_rows(mat.tolist()) == 0 for mat in mats[~nonsingular_mod_p(mats)])

@@ -117,6 +117,17 @@ def matvec(m, v):
     return tuple(sum(m.at(i, j) * e for j, e in enumerate(v)) for i in range(m.rows))
 
 
+def sylvester_hadamard(n):
+    """The n x n Sylvester-Hadamard matrix (n a power of two) as int64: the
+    largest |det| of all +-1 matrices, n**(n/2)."""
+    import numpy as np
+
+    h = np.ones((1, 1), dtype=np.int64)
+    while h.shape[0] < n:
+        h = np.block([[h, h], [h, -h]])
+    return h
+
+
 def brute_is_mds(rows):
     """Check every k-column minor with the cofactor determinant."""
     k, n = len(rows), len(rows[0])

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import intmat
 from intmat import cli
@@ -394,6 +395,89 @@ def test_normal_vector_digits_below_one_exit_1(tmp_path, capsys, monkeypatch):
                                       "--digits", digits])
         assert code == 1 and out == ""
         assert err == "intmat: digits must be >= 1\n"
+
+
+def test_normal_vector_digits_past_the_cap_exit_1(tmp_path, capsys, monkeypatch):
+    # 10**6 digits once ran for more than 15 s on a 2 x 3 matrix
+    monkeypatch.setattr(cli, "read_matrix", _refuse)
+    for digits in (cli.MAX_DIGITS + 1, 10**7):
+        code, out, err = run(capsys, ["normal-vector", "--input", str(tmp_path / "rows.txt"),
+                                      "--digits", str(digits)])
+        assert code == 1 and out == ""
+        assert err == f"intmat: digits must be <= {cli.MAX_DIGITS}\n"
+
+
+# Values for each size argument: small ones that finish well within a
+# second, and ones past the bound that refuses them. None is valid and slow
+# (smallball --n 10**6 is within its draw cap, so it is left out).
+_N = (-1, 0, 1, 3, 1025, 10**6, 10**30)
+_M = (-1, 0, 1, 3, 2**62, 2**63, 10**30)
+_TRIALS = (-1, 0, 1, 100, 2**31 + 1, 10**30)
+_SEEDS = (-1, 1, 2**64, 10**30)
+_REALS = ("-1", "0", "1e-300", "0.5", "1e300", "inf", "nan")
+
+
+@st.composite
+def extreme_argv(draw):
+    def pick(*values):
+        return str(draw(st.sampled_from(values)))
+
+    seed = ["--seed", pick(*_SEEDS)]
+    threads = ["--threads", pick(1, 2)]  # never a large pool
+    command = draw(st.sampled_from(
+        ("estimate", "smallball", "exact", "charfunc", "mds", "normal-vector", "lcd")))
+    if command == "estimate":
+        return ["estimate", "--n", pick(*_N), "--m", pick(*_M), "--trials", pick(*_TRIALS),
+                *seed, *threads]
+    if command == "smallball":
+        return ["smallball", "--n", pick(-1, 0, 1, 3, 2**20 + 1, 10**30), "--m", pick(*_M),
+                "--eps", pick(*_REALS), "--trials", pick(*_TRIALS), *seed, *threads]
+    if command == "exact":
+        return ["exact", "--n", pick(*_N), "--m", pick(*_M),
+                "--budget", pick(-1, 0, 10**8, 10**40)]
+    if command == "charfunc":
+        return ["charfunc", "--m", pick(*_M), "--grid", pick(-1, 0, 10, 2**20 + 1, 10**30)]
+    if command == "mds":
+        return ["mds", "generate", "--k", pick(-1, 0, 1, 3, 10**6), "--n", pick(*_N),
+                "--m", pick(*_M), *seed]
+    if command == "normal-vector":
+        return ["normal-vector", "--input", "rows.txt", "--m", pick(*_M),
+                "--digits", pick(-1, 0, 1, 36, 100_001, 10**30)]
+    return ["lcd", "--input", "vec.txt", "--alpha", pick("0.1", "0", "-1", "2", "nan"),
+            "--beta", pick("0.1", "0", "-1", "2", "nan"), "--dmax", pick(*_REALS),
+            "--step", pick(*_REALS)]
+
+
+@pytest.fixture(scope="module")
+def argv_inputs(tmp_path_factory):
+    path = tmp_path_factory.mktemp("argv")
+    (path / "rows.txt").write_text("2 3\n1 2 3\n-4 5 6\n")
+    (path / "vec.txt").write_text("3\n0.6\n0.8\n0\n")
+    return path
+
+
+# the CLI under 2 GB of address space, set before numpy or intmat loads
+_LIMITED_CLI = """import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 * 10**9, 2 * 10**9))
+from intmat.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(argv=extreme_argv())
+def test_extreme_argv_exits_cleanly_in_a_child_process(argv_inputs, argv):
+    # each argv in its own process, under 2 GB of address space and a 5 s
+    # timeout: a refusal, a hang or a traceback fails the test
+    env = dict(os.environ, PYTHONPATH=str(Path(intmat.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS="1")
+    env.pop("INTMAT_THREADS", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", _LIMITED_CLI, *argv], cwd=argv_inputs, env=env,
+        capture_output=True, text=True, timeout=5,
+    )
+    assert proc.returncode in (0, 1, 2), (argv, proc.returncode, proc.stderr)
+    assert "Traceback" not in proc.stderr, (argv, proc.stderr)
 
 
 def test_normal_vector_prints_past_the_int_to_str_limit(tmp_path, capsys):

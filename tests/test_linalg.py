@@ -14,6 +14,7 @@ from intmat.linalg import (
     det,
     det_batch,
     det_mod,
+    det_residues,
     is_singular,
     kernel_basis,
     maximal_minors,
@@ -21,7 +22,14 @@ from intmat.linalg import (
     rank,
 )
 
-from oracles import cofactor_det, kernel_basis_oracle, matvec, rref_kernel, rref_rank
+from oracles import (
+    cofactor_det,
+    kernel_basis_oracle,
+    matvec,
+    rref_kernel,
+    rref_rank,
+    sylvester_hadamard,
+)
 
 
 def random_matrix(rng, rows, cols, lo, hi):
@@ -315,13 +323,6 @@ def largest_fitting_m(n):
     return lo
 
 
-def sylvester_hadamard(n):
-    h = np.ones((1, 1), dtype=np.int64)
-    while h.shape[0] < n:
-        h = np.block([[h, h], [h, -h]])
-    return h
-
-
 def assert_batch_matches_scalar(mats):
     got = det_batch(mats)
     assert got.dtype == np.int64 and got.shape == (mats.shape[0],)
@@ -487,6 +488,37 @@ def test_batch_det_one_extreme_matrix_forces_int64(monkeypatch):
     dtypes.clear()
     assert_batch_matches_scalar(mats)
     assert dtypes == [np.int64, np.int64]
+
+
+@st.composite
+def residue_batches(draw):
+    """(B, n, n) batches, n = 1..8: int16 over its whole range, -32768 too,
+    or int64 with entries up to 2**62."""
+    n = draw(st.integers(1, 8))
+    dtype, top = draw(st.sampled_from(((np.int16, 2**15), (np.int64, 2**62))))
+    m = draw(st.integers(0, 3) | st.integers(0, top) | st.just(top))
+    b = draw(st.integers(1, 6))
+    entry = st.integers(-m, min(m, top - 1)) | st.just(-m)
+    entries = draw(st.lists(entry, min_size=b * n * n, max_size=b * n * n))
+    return np.array(entries, dtype=dtype).reshape(b, n, n)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(residue_batches())
+def test_det_residues_are_the_det_modulo_2_16(mats):
+    got = det_residues(mats)
+    assert got.dtype == np.uint16 and got.shape == (mats.shape[0],)
+    for i in range(mats.shape[0]):
+        assert int(got[i]) == _det_rows(mats[i].tolist()) % 2**16, mats[i]
+
+
+def test_det_residues_lane_boundaries_and_int16_extremes():
+    rng = np.random.default_rng(403)
+    mats = rng.integers(-32768, 32768, size=(8_193, 3, 3)).astype(np.int16)
+    mats[::7, 0, 0] = -32768
+    mats[-1, 2] = mats[-1, 0]  # a singular matrix in the last lane
+    want = np.array([_det_rows(mat.tolist()) % 2**16 for mat in mats])
+    assert np.array_equal(det_residues(mats), want)
 
 
 def test_minor_plan_subsets_match_combinations():

@@ -7,7 +7,15 @@ from hypothesis import given, settings, strategies as st
 
 import intmat.singularity
 from intmat.errors import BudgetExceededError, DomainError, FitError
-from intmat.linalg import _FILTER_PRIME as P, _det_rows, batch_det_fits_int64, nonsingular_mod_p
+from intmat.linalg import (
+    _FILTER_PRIME as P,
+    _det_rows,
+    _expansion_fits,
+    batch_det_fits_int64,
+    det_batch,
+    det_residues,
+    nonsingular_mod_p,
+)
 from intmat.sampling import EntryDistribution, Seed
 from intmat.singularity import (
     MAX_SHARDS,
@@ -24,7 +32,7 @@ from intmat.singularity import (
     wilson_interval,
 )
 
-from oracles import cofactor_det, enumerate_singular_fraction
+from oracles import cofactor_det, enumerate_singular_fraction, sylvester_hadamard
 
 
 def test_exact_fraction_n1():
@@ -254,6 +262,104 @@ def test_filter_takes_int16_batches_off_the_guard():
     mats[100:110, :, 0] = -32768  # int16's lowest value
     assert not batch_det_fits_int64(8, 100)
     assert_filter_matches_scalar(mats)
+
+
+def assert_count_matches_scalar(mats):
+    # both exact paths behind the residue pass: det_batch where the int64
+    # guard admits the batch, and the mod-p filter then _det_rows
+    n = mats.shape[1]
+    top = max(int(mats.max()), -int(mats.min()))
+    want = sum(_det_rows(mat.tolist()) == 0 for mat in mats)
+    for fits in {batch_det_fits_int64(n, top), False}:
+        assert _count_singular(mats, fits) == want
+
+
+def record_det_batch(monkeypatch) -> list:
+    """Every batch _count_singular hands to det_batch, in order."""
+    received = []
+    expand = intmat.singularity.det_batch
+    monkeypatch.setattr(intmat.singularity, "det_batch", lambda mats: received.append(mats) or expand(mats))
+    return received
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_residue_pass_planted_singular(n):
+    rng = np.random.default_rng(600 + n)
+    for m in (1, 3, 100, 2**40):
+        def draw(bound):
+            return rng.integers(-bound, bound, size=(20, n, n), endpoint=True, dtype=np.int64)
+
+        zero_column = draw(m)
+        zero_column[:, :, n // 2] = 0
+        planted = [zero_column, draw(m)]
+        if n >= 2:
+            repeated_row = draw(m)
+            repeated_row[:, n - 1] = repeated_row[:, 0]
+            planted.append(repeated_row)
+        if n >= 3:
+            row_sum = draw(m // 2)  # so the summed row stays within +-m
+            row_sum[:, n - 1] = row_sum[:, 0] + row_sum[:, 1]
+            planted.append(row_sum)
+        assert_count_matches_scalar(np.concatenate(planted))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_residue_pass_multiples_of_2_8(n):
+    # det is a multiple of 2**(8n), so every residue is zero and the exact
+    # paths decide every matrix
+    rng = np.random.default_rng(700 + n)
+    mats = 2**8 * rng.integers(-3, 4, size=(60, n, n))
+    mats[:20, n - 1] = mats[:20, 0]
+    assert not det_residues(mats).any()
+    assert_count_matches_scalar(mats)
+
+
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_residue_pass_hadamard_multiples(n):
+    # det(m * H) = m**n * n**(n/2): a power of two past 2**16 for m = 2 at
+    # n = 8, m = 16 at n = 4 and m = 2**20 at n = 2
+    nonsingular = np.stack([m * sylvester_hadamard(n) for m in (1, 2, 3, 16, 77, 2**20)])
+    singular = nonsingular.copy()
+    singular[:, n - 1] = singular[:, 0]
+    assert_count_matches_scalar(np.concatenate([nonsingular, singular]))
+    assert (det_residues(nonsingular) == 0).sum() >= 1
+
+
+@pytest.mark.parametrize(
+    "n, edge", [(1, 32_767), (2, 127), (3, 17), (4, 6), (5, 3), (6, 2), (7, 1), (8, 1)]
+)
+def test_residue_pass_at_the_int16_exact_edge(n, edge, monkeypatch):
+    # up to the edge every |det| < 2**15 and the residues alone give the
+    # count; one past it the zero residues, and only they, go to det_batch
+    assert _expansion_fits(n, edge, 15) and not _expansion_fits(n, edge + 1, 15)
+    received = record_det_batch(monkeypatch)
+    rng = np.random.default_rng(800 + n)
+    for m in (edge, edge + 1):
+        mats = rng.integers(-m, m, size=(200, n, n), endpoint=True)
+        mats[:20] = m * rng.choice(np.array([-1, 1]), size=(20, n, n))
+        mats[20:40, n - 1] = mats[20:40, 0] if n > 1 else 0
+        if n & (n - 1) == 0:
+            mats[40] = m * sylvester_hadamard(n)
+        received.clear()
+        assert _count_singular(mats, True) == sum(_det_rows(mat.tolist()) == 0 for mat in mats)
+        if m == edge:
+            assert received == []
+        else:
+            assert len(received) == 1
+            assert np.array_equal(received[0], mats[det_residues(mats) == 0])
+
+
+def test_residue_pass_confirms_only_the_zero_residues(monkeypatch):
+    # uniform (8, 16): det_batch sees the zero residues (the singular
+    # matrices and about 4 in 10**5 others), not the batch
+    rng = np.random.default_rng(900)
+    mats = rng.integers(-16, 17, size=(SHARD_TRIALS, 8, 8)).astype(np.int16)
+    want = int(np.count_nonzero(det_batch(mats) == 0))
+    zero = det_residues(mats) == 0
+    received = record_det_batch(monkeypatch)
+    assert _count_singular(mats, True) == want
+    assert len(received) == 1 and np.array_equal(received[0], mats[zero])
+    assert want <= len(received[0]) <= 10
 
 
 @pytest.mark.parametrize("n, scale", [(10, P), (4, 2**40)])

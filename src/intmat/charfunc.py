@@ -194,8 +194,8 @@ def small_ball_probe(
         raise DomainError("trials must be >= 1")
     if m < 1:
         raise DomainError("m must be >= 1")
-    if epsilon <= 0:
-        raise DomainError("epsilon must be positive")
+    if not 0 < epsilon < math.inf:  # also rejects nan, before any draw
+        raise DomainError("epsilon must be positive and finite")
     xs = _direction_floats(x)
     n = xs.size
     dist = EntryDistribution.uniform_symmetric(m)

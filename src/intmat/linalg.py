@@ -19,13 +19,14 @@ determinant modulo 2**16 for entries of any size. When the expansion's
 bound stays below 2**15 for the batch's largest entry (the int16-exact
 case) the residue is the determinant. Otherwise a nonzero residue proves
 the matrix nonsingular, and only the zero residues, the singular matrices
-and a few in 10**5 others, go on to an exact path. `det_batch` runs the
-same expansion in int32 or int64 lanes for exact determinants, and callers
-use it only when `batch_det_fits_int64` holds. Every other batch goes
+and a few in 10**5 others, go on. They, and every batch past n = 8, go
 through `nonsingular_mod_p`, elimination modulo one prime that can only
 prove a matrix nonsingular; the caller confirms the rest with the scalar
-big-integer routine. Exact enumeration stops the same expansion one level
-early, for the maximal minors of a batch of (n-1) x n row stacks.
+big-integer routine. `det_batch` runs the same expansion in int64 lanes
+for exact determinants where `batch_det_fits_int64` holds; no Monte Carlo
+path calls it. Exact enumeration stops the same expansion one level early,
+in int64 under the same bound, for the maximal minors of a batch of
+(n-1) x n row stacks.
 
 `maximal_minors` gives every k x k minor of one k x n matrix modulo the
 prime _FILTER_PRIME (the MDS check) by the same expansion, one level of
@@ -54,22 +55,20 @@ from .errors import DimensionError
 _FILTER_PRIME = (1 << 29) - 3
 
 # Largest n that det_batch and det_residues expand over column subsets, and
-# that Monte Carlo sends through the residue pass. The expansion costs
-# n * 2**(n-1) vector multiply-adds and `nonsingular_mod_p` ~n**3/3 lane
-# updates plus a remainder each, and the filter leaves every singular matrix
-# to a scalar big-integer determinant. On a 2-vCPU Xeon, per matrix of
-# entries in [-3, 3], in int64 lanes of 8,192, the expansion takes 2.1 us at
-# n = 8 against the filter's 3.5 us, 4.1 against 4.6 us at n = 9 (where its
-# int64 guard admits m <= 39 only) and 8.8 against 6.2 us at n = 10. In
-# uint16 lanes (`det_residues`) it takes 0.4-0.6 us at n = 8, 1.1-1.3 at
-# n = 9 and 2.5-2.8 at n = 10, for entries of any size.
+# that Monte Carlo sends through the residue pass before `nonsingular_mod_p`.
+# The expansion costs n * 2**(n-1) vector multiply-adds and the filter
+# ~n**3/3 lane updates plus a remainder each. On a 2-vCPU Xeon, per matrix
+# of entries in [-3, 3] in lanes of 8,192, the uint16 expansion
+# (`det_residues`) takes 0.4-0.6 us at n = 8, 1.1-1.3 at n = 9 and 2.5-2.8
+# at n = 10, for entries of any size, against the filter's 3.5, 4.6 and
+# 6.2 us.
 _EXPANSION_MAX_N = 8
 
 # Matrices per lane of det_batch, det_residues and nonsingular_mod_p: the
-# widest level at n = 8, 70 vectors of 8,192 lanes, takes 4.4 MiB in int64,
-# 2.2 MiB in int32 and 1.1 MiB in uint16, and the filter's int64 copy of a
-# 10 x 10 lane 6.4 MiB; a whole 2**20-entry sub-batch from sampling is 8 MiB
-# in int64 before any level. Per-call overhead grows below 8,192: the uint16
+# widest level at n = 8, 70 vectors of 8,192 lanes, takes 4.4 MiB in int64
+# and 1.1 MiB in uint16, and the filter's int64 copy of a 10 x 10 lane
+# 6.4 MiB; a whole 2**20-entry sub-batch from sampling is 8 MiB in int64
+# before any level. Per-call overhead grows below 8,192: the uint16
 # expansion at n = 8 takes 1.3 us per matrix in lanes of 2,048.
 _LANE = 1 << 13
 
@@ -371,10 +370,11 @@ def _expansion_fits(n: int, max_abs: int, bits: int = 63) -> bool:
 
 
 def batch_det_fits_int64(n: int, max_abs: int) -> bool:
-    """Whether `det_batch` (the minor expansion, n <= 8) is overflow-safe for
-    n x n matrices: n * m * (m * sqrt(n-1))**(n-1) < 2**63 with m = max_abs,
-    tested exactly in integers; the largest admitted m is 77 at n = 8, 549 at
-    n = 6 and 25,809 at n = 4.
+    """Whether the minor expansion in int64 (`det_batch`, and exact
+    enumeration's maximal minors) is overflow-safe for n x n matrices, n <= 8:
+    n * m * (m * sqrt(n-1))**(n-1) < 2**63 with m = max_abs, tested exactly
+    in integers; the largest admitted m is 77 at n = 8, 549 at n = 6 and
+    25,809 at n = 4.
     """
     return n <= _EXPANSION_MAX_N and _expansion_fits(n, max_abs)
 
@@ -462,7 +462,7 @@ def leading_minors(a: np.ndarray, k: int) -> list[np.ndarray]:
     sub-subsets come from `_minor_plan`. Every intermediate is a minor of
     the input or a partial Laplace sum, bounded by (r+1) * m * (m * sqrt(r))**r
     for entries |a| <= m, so int64 is exact when `_expansion_fits(k, m)`
-    holds and int32 when `_expansion_fits(k, m, 31)` does.
+    holds.
     """
     minors = list(a[0])
     for r in range(1, k):
@@ -495,23 +495,18 @@ def det_batch(mats: np.ndarray) -> np.ndarray:
     `batch_det_fits_int64(n, max|entry|)`, so n <= 8.
 
     This is the division-free expansion over column subsets of
-    `leading_minors`, run to its last level: n * 2**(n-1) vector
+    `leading_minors`, run to its last level in int64: n * 2**(n-1) vector
     multiply-adds in all. Its intermediates grow with the level, and
     `batch_det_fits_int64` keeps them below 2**63 at level n-1, so int64
     never wraps. It runs on equal lanes of at most _LANE matrices, whose
-    levels stay small enough to be reused from cache, in int32 when the
-    bound holds below 2**31 for the batch's own largest |entry| (m <= 4 at
-    n = 8, 13 at n = 6, 100 at n = 4) and in int64 otherwise; the result is
-    int64 either way.
+    levels stay small enough to be reused from cache.
     """
     b, n, n2 = mats.shape
     if n != n2:
         raise DimensionError("batch of square matrices required")
-    top = max(int(mats.max()), -int(mats.min())) if b else 0
-    dtype = np.int32 if _expansion_fits(n, top, 31) else np.int64
     out = np.empty(b, dtype=np.int64)
     for lane in _lanes(b):
-        a = np.array(mats[lane].transpose(1, 2, 0), dtype=dtype, order="C")
+        a = np.array(mats[lane].transpose(1, 2, 0), dtype=np.int64, order="C")
         out[lane] = leading_minors(a, n)[0]
     return out
 

@@ -129,11 +129,6 @@ class EntryDistribution:
             return Fraction(1, 2 * self.m + 1)
         return max(self.pmf)
 
-    def max_abs_value(self) -> int:
-        if self.kind == "uniform_symmetric":
-            return self.m
-        return max(abs(v) for v in self.support)
-
     def _thresholds(self) -> np.ndarray:
         # cumulative pmf scaled to a 2**64 grid; per-draw bias <= 2**-64.
         # Once the sum reaches 1 (zero-mass points at the end) the bound is

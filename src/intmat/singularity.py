@@ -18,13 +18,15 @@ from .errors import BudgetExceededError, DomainError, FitError
 from .linalg import (
     _EXPANSION_MAX_N,
     batch_det_fits_int64,
-    det_batch,
     det_residues,
     leading_minors,
     nonsingular_mod_p,
     _det_rows,
     _expansion_fits,
 )
+# Uncalled: perfbench/tracing.py wraps intmat.singularity.det_batch, so the
+# name stays until the tracer reads run statistics instead of private names.
+from .linalg import det_batch  # noqa: F401
 from .sampling import EntryDistribution, Seed, generator, sample_batches
 
 SHARD_TRIALS = 1 << 15
@@ -119,7 +121,7 @@ def map_shards(count_shard, trials: int, threads: int) -> int:
         return sum(pool.map(count_shard, range(shards), sizes))
 
 
-def _count_singular(mats: np.ndarray, fits: bool) -> int:
+def _count_singular(mats: np.ndarray) -> int:
     """Number of singular matrices in a (B, n, n) batch.
 
     For n <= _EXPANSION_MAX_N, `det_residues` runs first. When
@@ -127,10 +129,9 @@ def _count_singular(mats: np.ndarray, fits: bool) -> int:
     every |det| < 2**15, so the residue is the determinant and its zeros are
     the answer. Otherwise a nonzero residue proves a matrix nonsingular, and
     only the zero residues (the singular matrices and about 1 in 2.5 * 10**4
-    others on uniform draws) go on to the exact path below: int64
-    `det_batch` when `fits` (batch_det_fits_int64 holds for n and the
-    alphabet), else `nonsingular_mod_p`, which proves most of them
-    nonsingular, and the exact big-integer `_det_rows` on the rest.
+    others on uniform draws) go on. They, and every batch past n = 8, take
+    `nonsingular_mod_p`, which proves all but about 1 in 2**29 of the
+    nonsingular ones, and the exact big-integer `_det_rows` decides the rest.
     """
     n = mats.shape[1]
     if n <= _EXPANSION_MAX_N:
@@ -138,18 +139,13 @@ def _count_singular(mats: np.ndarray, fits: bool) -> int:
         if _expansion_fits(n, max(int(mats.max()), -int(mats.min())), 15):
             return int(np.count_nonzero(zero))
         mats = mats[zero]
-    if fits:
-        return int(np.count_nonzero(det_batch(mats) == 0))
     return sum(_det_rows(mat.tolist()) == 0 for mat in mats[~nonsingular_mod_p(mats)])
 
 
 def _singular_count(n: int, dist: EntryDistribution, seed: Seed, shard: int, count: int) -> int:
     gen = generator(seed, shard=shard)
-    fits = batch_det_fits_int64(n, dist.max_abs_value())
-    return sum(
-        _count_singular(flat.reshape(-1, n, n), fits)
-        for flat in sample_batches(dist, gen, count, n * n)
-    )
+    batches = sample_batches(dist, gen, count, n * n)
+    return sum(_count_singular(flat.reshape(-1, n, n)) for flat in batches)
 
 
 def mc_singularity(

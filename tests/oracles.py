@@ -88,17 +88,15 @@ def kernel_basis_oracle(m):
 def enumerate_singular_fraction(n, m):
     """The library's former exact_singular_fraction: every one of the
     (2m+1)**(n*n) matrices in row-major odometer order, in chunks of 2**16,
-    each decided by the Monte Carlo kernel (int64 `det_batch` when its
-    bound holds, else the mod-p filter and big-integer Bareiss on every
-    matrix it cannot prove nonsingular)."""
+    each decided by the Monte Carlo kernel: for n <= 8 the determinants
+    modulo 2**16, exact when every |det| < 2**15, then the mod-p filter and
+    big-integer Bareiss on every matrix neither can prove nonsingular."""
     import numpy as np
 
-    from intmat.linalg import batch_det_fits_int64
     from intmat.singularity import _count_singular
 
     width = 2 * m + 1
     total = width ** (n * n)
-    fits = batch_det_fits_int64(n, m)
     chunk = 1 << 16
     singular = 0
     for start in range(0, total, chunk):
@@ -107,7 +105,7 @@ def enumerate_singular_fraction(n, m):
         digits = np.empty((stop - start, n * n), dtype=np.int64)
         for e in range(n * n - 1, -1, -1):
             idx, digits[:, e] = np.divmod(idx, width)
-        singular += _count_singular(digits.reshape(-1, n, n) - m, fits)
+        singular += _count_singular(digits.reshape(-1, n, n) - m)
     return Fraction(singular, total)
 
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import intmat
-from intmat import cli
+from intmat import charfunc, cli
 from intmat.cli import main
 from intmat.errors import DomainError
 from intmat.formats import read_matrix, write_matrix
@@ -283,6 +283,15 @@ def test_smallball_n_over_the_draw_cap_exit_1(capsys, monkeypatch):
                                       "--trials", "10", "--seed", "1"])
         assert code == 1 and out == ""
         assert err == f"intmat: n must lie in [1, {cli._DRAW_BATCH}]\n"
+
+
+def test_smallball_non_finite_eps_exit_1_before_sampling(capsys, monkeypatch):
+    monkeypatch.setattr(charfunc, "map_shards", _refuse)
+    for eps in ("nan", "inf", "-inf"):
+        code, out, err = run(capsys, ["smallball", "--n", "10", "--m", "2", f"--eps={eps}",
+                                      "--trials", "2000000000", "--seed", "1"])
+        assert code == 1 and out == ""
+        assert err == "intmat: epsilon must be positive and finite\n"
 
 
 def test_estimate_n_over_the_draw_cap_exit_1(capsys, monkeypatch):

@@ -191,7 +191,7 @@ def assert_filter_matches_scalar(mats):
     proved = nonsingular_mod_p(mats)
     assert proved.tolist() == [d % P != 0 for d in dets]
     assert not any(proved[i] for i, d in enumerate(dets) if d == 0)
-    assert _count_singular(mats, False) == dets.count(0)
+    assert _count_singular(mats) == dets.count(0)
 
 
 @st.composite
@@ -250,7 +250,7 @@ def test_multiples_of_the_prime_all_go_to_confirmation(monkeypatch):
     calls = []
     monkeypatch.setattr(intmat.singularity, "_det_rows", lambda a: calls.append(a) or confirm(a))
     assert not nonsingular_mod_p(mats).any()
-    assert _count_singular(mats, False) == want >= 50
+    assert _count_singular(mats) == want >= 50
     assert len(calls) == 200
 
 
@@ -265,21 +265,34 @@ def test_filter_takes_int16_batches_off_the_guard():
 
 
 def assert_count_matches_scalar(mats):
-    # both exact paths behind the residue pass: det_batch where the int64
-    # guard admits the batch, and the mod-p filter then _det_rows
-    n = mats.shape[1]
-    top = max(int(mats.max()), -int(mats.min()))
-    want = sum(_det_rows(mat.tolist()) == 0 for mat in mats)
-    for fits in {batch_det_fits_int64(n, top), False}:
-        assert _count_singular(mats, fits) == want
+    # the residue pass, then the mod-p filter and _det_rows on what it leaves
+    assert _count_singular(mats) == sum(_det_rows(mat.tolist()) == 0 for mat in mats)
 
 
-def record_det_batch(monkeypatch) -> list:
-    """Every batch _count_singular hands to det_batch, in order."""
+def record_filter_input(monkeypatch) -> list:
+    """Every batch _count_singular hands to nonsingular_mod_p, in order."""
     received = []
-    expand = intmat.singularity.det_batch
-    monkeypatch.setattr(intmat.singularity, "det_batch", lambda mats: received.append(mats) or expand(mats))
+    proved = intmat.singularity.nonsingular_mod_p
+    monkeypatch.setattr(
+        intmat.singularity, "nonsingular_mod_p", lambda mats: received.append(mats) or proved(mats)
+    )
     return received
+
+
+def _refuse(*args):
+    raise AssertionError("_count_singular has one exact path: no det_batch, no int64 guard")
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_count_never_calls_det_batch(n, monkeypatch):
+    for module in (intmat.singularity, intmat.linalg):
+        monkeypatch.setattr(module, "det_batch", _refuse)
+        monkeypatch.setattr(module, "batch_det_fits_int64", _refuse)
+    rng = np.random.default_rng(1000 + n)
+    for m in (1, 3, 77, 2**40):
+        mats = rng.integers(-m, m, size=(40, n, n), endpoint=True, dtype=np.int64)
+        mats[:10, n - 1] = mats[:10, 0] if n > 1 else 0
+        assert_count_matches_scalar(mats)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -330,9 +343,9 @@ def test_residue_pass_hadamard_multiples(n):
 )
 def test_residue_pass_at_the_int16_exact_edge(n, edge, monkeypatch):
     # up to the edge every |det| < 2**15 and the residues alone give the
-    # count; one past it the zero residues, and only they, go to det_batch
+    # count; one past it the zero residues, and only they, go to the filter
     assert _expansion_fits(n, edge, 15) and not _expansion_fits(n, edge + 1, 15)
-    received = record_det_batch(monkeypatch)
+    received = record_filter_input(monkeypatch)
     rng = np.random.default_rng(800 + n)
     for m in (edge, edge + 1):
         mats = rng.integers(-m, m, size=(200, n, n), endpoint=True)
@@ -341,7 +354,7 @@ def test_residue_pass_at_the_int16_exact_edge(n, edge, monkeypatch):
         if n & (n - 1) == 0:
             mats[40] = m * sylvester_hadamard(n)
         received.clear()
-        assert _count_singular(mats, True) == sum(_det_rows(mat.tolist()) == 0 for mat in mats)
+        assert _count_singular(mats) == sum(_det_rows(mat.tolist()) == 0 for mat in mats)
         if m == edge:
             assert received == []
         else:
@@ -350,14 +363,14 @@ def test_residue_pass_at_the_int16_exact_edge(n, edge, monkeypatch):
 
 
 def test_residue_pass_confirms_only_the_zero_residues(monkeypatch):
-    # uniform (8, 16): det_batch sees the zero residues (the singular
+    # uniform (8, 16): the mod-p filter sees the zero residues (the singular
     # matrices and about 4 in 10**5 others), not the batch
     rng = np.random.default_rng(900)
     mats = rng.integers(-16, 17, size=(SHARD_TRIALS, 8, 8)).astype(np.int16)
     want = int(np.count_nonzero(det_batch(mats) == 0))
     zero = det_residues(mats) == 0
-    received = record_det_batch(monkeypatch)
-    assert _count_singular(mats, True) == want
+    received = record_filter_input(monkeypatch)
+    assert _count_singular(mats) == want
     assert len(received) == 1 and np.array_equal(received[0], mats[zero])
     assert want <= len(received[0]) <= 10
 

@@ -146,8 +146,8 @@ def esseen_integral(x, m: int, epsilon: float) -> float:
     The unspecified universal prefactor of the small-ball inequality is
     not applied; the raw value is reported.
     """
-    if epsilon <= 0:
-        raise DomainError("epsilon must be positive")
+    if not 0 < epsilon < math.inf:  # also rejects nan
+        raise DomainError("epsilon must be positive and finite")
     if m < 1:
         raise DomainError("m must be >= 1")
     # |phi| is even, so integrate one side and double
@@ -164,8 +164,8 @@ class SmallBallReport:
     lcd_bound: float | None
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise DomainError("epsilon must be positive")
+        if not 0 < self.epsilon < math.inf:  # also rejects nan
+            raise DomainError("epsilon must be positive and finite")
 
 
 def lcd_regime_bound(epsilon: float, m: int, n: int, p: LcdParams) -> float:

@@ -316,8 +316,6 @@ class LcdScanResult:
     """Grid-resolved LCD upper bound; math.inf means no grid point passed."""
 
     lcd_upper: float
-    grid_step: float
-    d_max: float
     certificate: LcdCertificate | None
 
     @property
@@ -487,13 +485,8 @@ def lcd_scan(x: RealVector, p: LcdParams, d_max: float, grid_step: float) -> Lcd
         for i in np.flatnonzero(gap <= margin):
             dj = float(d[i])
             if gap[i] < -margin[i] or lcd_witness(x, dj, p):
-                return LcdScanResult(
-                    lcd_upper=dj,
-                    grid_step=grid_step,
-                    d_max=d_max,
-                    certificate=_lcd_certificate(x, dj, s),
-                )
-    return LcdScanResult(lcd_upper=math.inf, grid_step=grid_step, d_max=d_max, certificate=None)
+                return LcdScanResult(lcd_upper=dj, certificate=_lcd_certificate(x, dj, s))
+    return LcdScanResult(lcd_upper=math.inf, certificate=None)
 
 
 def spread_check(x: RealVector, alpha: float, gamma: float) -> bool:

@@ -12,21 +12,20 @@ kernel vector proves the result. Every other case, and any case that the
 prime or the check rejects, back-substitutes on the fraction-free echelon
 form in integers, scaling the partial solution instead of dividing.
 
-The Monte Carlo hot path (n <= 8) starts with `det_residues`: a
-division-free expansion over column subsets (`leading_minors`) run in
-uint16 lanes of at most _LANE matrices, whose wraparound gives every
-determinant modulo 2**16 for entries of any size. When the expansion's
-bound stays below 2**15 for the batch's largest entry (the int16-exact
-case) the residue is the determinant. Otherwise a nonzero residue proves
-the matrix nonsingular, and only the zero residues, the singular matrices
-and a few in 10**5 others, go on. They, and every batch past n = 8, go
-through `nonsingular_mod_p`, elimination modulo one prime that can only
-prove a matrix nonsingular; the caller confirms the rest with the scalar
-big-integer routine. `det_batch` runs the same expansion in int64 lanes
-for exact determinants where `batch_det_fits_int64` holds; no Monte Carlo
-path calls it. Exact enumeration stops the same expansion one level early,
-in int64 under the same bound, for the maximal minors of a batch of
-(n-1) x n row stacks.
+The Monte Carlo hot path (n <= 8) starts with `det_residues`, a
+division-free expansion over column subsets (`leading_minors`) in uint16
+lanes of at most _LANE matrices; `det_batch` runs it in uint64 lanes, and
+exact enumeration stops it one level early for the maximal minors of
+(n-1) x n row stacks. Unsigned wraparound keeps every determinant exact
+modulo 2**w for entries of any size, and read as signed it is the
+determinant when Hadamard's bound (m * sqrt(n))**n for entries |a| <= m is
+below 2**(w-1) (`hadamard_below`): in `det_residues` that is the
+int16-exact case. Otherwise a nonzero residue proves the matrix
+nonsingular, and only the zero residues, the singular matrices and a few
+in 10**5 others, go on. They, and every batch past n = 8, go through
+`nonsingular_mod_p`, elimination modulo one prime that can only prove a
+matrix nonsingular; the caller confirms the rest with the scalar
+big-integer routine. No Monte Carlo path calls `det_batch`.
 
 `maximal_minors` gives every k x k minor of one k x n matrix modulo the
 prime _FILTER_PRIME (the MDS check) by the same expansion, one level of
@@ -54,8 +53,8 @@ from .errors import DimensionError
 # residues, within +-p**2: int64 never wraps.
 _FILTER_PRIME = (1 << 29) - 3
 
-# Largest n that det_batch and det_residues expand over column subsets, and
-# that Monte Carlo sends through the residue pass before `nonsingular_mod_p`.
+# Largest n that Monte Carlo sends through the residue pass before
+# `nonsingular_mod_p`, and that exact enumeration expands.
 # The expansion costs n * 2**(n-1) vector multiply-adds and the filter
 # ~n**3/3 lane updates plus a remainder each. On a 2-vCPU Xeon, per matrix
 # of entries in [-3, 3] in lanes of 8,192, the uint16 expansion
@@ -362,21 +361,12 @@ def _rational_reconstruction(u: int, modulus: int, bound: int) -> tuple[int, int
     return (r1, t1) if t1 > 0 else (-r1, -t1)
 
 
-def _expansion_fits(n: int, max_abs: int, bits: int = 63) -> bool:
-    """n * m * (m * sqrt(n-1))**(n-1) < 2**bits for m = max_abs, squared to
-    stay in integers: the bound on every intermediate of the minor expansion
-    up to n rows (see `det_batch`), which grows with n."""
-    return (n * max_abs) ** 2 * (max_abs * max_abs * (n - 1)) ** (n - 1) < 1 << (2 * bits)
-
-
-def batch_det_fits_int64(n: int, max_abs: int) -> bool:
-    """Whether the minor expansion in int64 (`det_batch`, and exact
-    enumeration's maximal minors) is overflow-safe for n x n matrices, n <= 8:
-    n * m * (m * sqrt(n-1))**(n-1) < 2**63 with m = max_abs, tested exactly
-    in integers; the largest admitted m is 77 at n = 8, 549 at n = 6 and
-    25,809 at n = 4.
-    """
-    return n <= _EXPANSION_MAX_N and _expansion_fits(n, max_abs)
+def hadamard_below(n: int, top: int, bits: int) -> bool:
+    """Whether every n x n integer matrix with entries |a| <= top has
+    |det| < 2**bits, by Hadamard's inequality |det| <= (top * sqrt(n))**n,
+    squared to stay in integers. Tight at n = 1, 2, 4 and 8, where top times
+    a Sylvester-Hadamard matrix attains the bound."""
+    return (top * top * n) ** n < 1 << (2 * bits)
 
 
 @lru_cache(maxsize=64)
@@ -459,10 +449,10 @@ def leading_minors(a: np.ndarray, k: int) -> list[np.ndarray]:
         M[S] = sum_t (-1)**(r+t) * a[r, S_t] * M[S without S_t],
 
     with no pivoting, no row swaps and no division; the subsets and their
-    sub-subsets come from `_minor_plan`. Every intermediate is a minor of
-    the input or a partial Laplace sum, bounded by (r+1) * m * (m * sqrt(r))**r
-    for entries |a| <= m, so int64 is exact when `_expansion_fits(k, m)`
-    holds.
+    sub-subsets come from `_minor_plan`. Every operation is a ring
+    operation, so in an unsigned dtype of w bits each minor comes out exact
+    modulo 2**w, whatever the intermediates were; it is the minor itself,
+    read as signed, when Hadamard's bound on it is below 2**(w-1).
     """
     minors = list(a[0])
     for r in range(1, k):
@@ -488,49 +478,42 @@ def _lanes(b: int) -> list[slice]:
     return [slice(b * i // lanes, b * (i + 1) // lanes) for i in range(lanes)]
 
 
-def det_batch(mats: np.ndarray) -> np.ndarray:
-    """Exact determinants of a batch of small integer matrices.
-
-    mats is (B, n, n) integer-valued; the caller must ensure
-    `batch_det_fits_int64(n, max|entry|)`, so n <= 8.
-
-    This is the division-free expansion over column subsets of
-    `leading_minors`, run to its last level in int64: n * 2**(n-1) vector
-    multiply-adds in all. Its intermediates grow with the level, and
-    `batch_det_fits_int64` keeps them below 2**63 at level n-1, so int64
-    never wraps. It runs on equal lanes of at most _LANE matrices, whose
-    levels stay small enough to be reused from cache.
-    """
+def _lane_dets(mats: np.ndarray, dtype) -> np.ndarray:
+    """det of each matrix of a (B, n, n) integer batch modulo 2**w, in the
+    unsigned dtype of w bits, by `leading_minors` on equal lanes of at most
+    _LANE matrices, whose levels stay small enough to be reused from cache.
+    astype reduces int16 and int64 entries alike modulo 2**w."""
     b, n, n2 = mats.shape
     if n != n2:
         raise DimensionError("batch of square matrices required")
-    out = np.empty(b, dtype=np.int64)
+    out = np.empty(b, dtype=dtype)
     for lane in _lanes(b):
-        a = np.array(mats[lane].transpose(1, 2, 0), dtype=np.int64, order="C")
+        # reduce, then transpose: 3x faster than the other order in int64
+        a = np.ascontiguousarray(mats[lane].astype(dtype).transpose(1, 2, 0))
         out[lane] = leading_minors(a, n)[0]
     return out
+
+
+def det_batch(mats: np.ndarray) -> np.ndarray:
+    """Exact determinants of a (B, n, n) integer batch, as int64.
+
+    The expansion of `leading_minors` in uint64 lanes gives det modulo
+    2**64; read as int64 it is the determinant when Hadamard's bound is
+    below 2**63, so the caller must ensure `hadamard_below(n,
+    max|entry|, 63)`. n * 2**(n-1) vector multiply-adds in all.
+    """
+    return _lane_dets(mats, np.uint64).view(np.int64)
 
 
 def det_residues(mats: np.ndarray) -> np.ndarray:
     """det of each matrix of a (B, n, n) integer batch modulo 2**16, as uint16.
 
-    The expansion of `det_batch` run on uint16 lanes: astype(np.uint16)
-    reduces int16 and int64 entries alike modulo 2**16, and unsigned
-    wraparound keeps every sum and product exact modulo 2**16, so it holds
-    for entries of any size. A nonzero residue proves the matrix
-    nonsingular. A zero residue proves it singular only when |det| < 2**16;
-    `_expansion_fits(n, max|entry|, 15)` guarantees |det| < 2**15, and then
-    the residue read as int16 is the determinant itself.
+    The expansion of `det_batch` in uint16 lanes, exact modulo 2**16 for
+    entries of any size. A nonzero residue proves the matrix nonsingular.
+    When `hadamard_below(n, max|entry|, 15)` holds, the residue read as
+    int16 is the determinant itself.
     """
-    b, n, n2 = mats.shape
-    if n != n2:
-        raise DimensionError("batch of square matrices required")
-    out = np.empty(b, dtype=np.uint16)
-    for lane in _lanes(b):
-        # reduce, then transpose: 3x faster than the other order in int64
-        a = np.ascontiguousarray(mats[lane].astype(np.uint16).transpose(1, 2, 0))
-        out[lane] = leading_minors(a, n)[0]
-    return out
+    return _lane_dets(mats, np.uint16)
 
 
 def nonsingular_mod_p(mats: np.ndarray) -> np.ndarray:

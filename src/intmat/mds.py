@@ -70,7 +70,6 @@ class GenerationReport:
     matrix: IntMatrix
     attempts: int
     m_used: int
-    seed: Seed
 
 
 def is_mds(m: IntMatrix) -> MdsVerdict:
@@ -145,7 +144,7 @@ def generate_mds(
         cand = IntMatrix(k, n, tuple(int(v) for v in flat))
         verdict = is_mds(cand)
         if verdict.is_mds:
-            return GenerationReport(matrix=cand, attempts=attempt, m_used=m, seed=seed)
+            return GenerationReport(matrix=cand, attempts=attempt, m_used=m)
         last_witness = verdict.witness
     raise GenerationError(
         f"no MDS matrix found in {max_attempts} attempts (k={k}, n={n}, m={m})",

@@ -17,12 +17,11 @@ import numpy as np
 from .errors import BudgetExceededError, DomainError, FitError
 from .linalg import (
     _EXPANSION_MAX_N,
-    batch_det_fits_int64,
     det_residues,
+    hadamard_below,
     leading_minors,
     nonsingular_mod_p,
     _det_rows,
-    _expansion_fits,
 )
 # Uncalled: perfbench/tracing.py wraps intmat.singularity.det_batch, so the
 # name stays until the tracer reads run statistics instead of private names.
@@ -125,7 +124,7 @@ def _count_singular(mats: np.ndarray) -> int:
     """Number of singular matrices in a (B, n, n) batch.
 
     For n <= _EXPANSION_MAX_N, `det_residues` runs first. When
-    `_expansion_fits(n, top, 15)` holds for the batch's largest |entry| top,
+    `hadamard_below(n, top, 15)` holds for the batch's largest |entry| top,
     every |det| < 2**15, so the residue is the determinant and its zeros are
     the answer. Otherwise a nonzero residue proves a matrix nonsingular, and
     only the zero residues (the singular matrices and about 1 in 2.5 * 10**4
@@ -136,7 +135,7 @@ def _count_singular(mats: np.ndarray) -> int:
     n = mats.shape[1]
     if n <= _EXPANSION_MAX_N:
         zero = det_residues(mats) == 0
-        if _expansion_fits(n, max(int(mats.max()), -int(mats.min())), 15):
+        if hadamard_below(n, max(int(mats.max()), -int(mats.min())), 15):
             return int(np.count_nonzero(zero))
         mats = mats[zero]
     return sum(_det_rows(mat.tolist()) == 0 for mat in mats[~nonsingular_mod_p(mats)])
@@ -174,9 +173,10 @@ def mc_singularity(
 
 def _cube(start: int, stop: int, m: int, length: int) -> np.ndarray:
     """Points start..stop-1 of {-m, ..., m}**length as a (stop-start, length)
-    int64 array, in row-major odometer order (last coordinate fastest)."""
-    idx = np.arange(start, stop, dtype=np.int64)
-    digits = np.empty((stop - start, length), dtype=np.int64)
+    uint64 array (negative coordinates modulo 2**64), in row-major odometer
+    order (last coordinate fastest)."""
+    idx = np.arange(start, stop, dtype=np.uint64)
+    digits = np.empty((stop - start, length), dtype=np.uint64)
     for e in range(length - 1, -1, -1):
         idx, digits[:, e] = np.divmod(idx, 2 * m + 1)
     return digits - m
@@ -191,19 +191,22 @@ def exact_singular_fraction(n: int, m: int, budget: int = DEFAULT_ENUM_BUDGET) -
     The alphabet is symmetric and r ranges over the whole cube, so the
     number of r with c . r = 0 depends only on sorted |c|: the stacks are
     tallied by that key, and each distinct key is multiplied against every
-    last row once, in int64: `batch_det_fits_int64` bounds every minor and
-    every partial sum of c . r. The budget still counts all (2m+1)**(n*n)
-    matrices; n = 1 and m = 0 are closed forms. Raises BudgetExceededError
-    before the budget check, with `required` None, when that int64 bound
-    fails: every such n >= 2, m >= 1 has at least 2**64 row stacks, too
-    many ever to finish, so no budget would do.
+    last row once. Both steps run in uint64, exact modulo 2**64, and each
+    minor and each c . r is the determinant of a matrix with entries in
+    +-m, below 2**63 when `hadamard_below(n, m, 63)`: the minors read as
+    int64 are exact, and c . r is zero iff its residue is. The budget still
+    counts all (2m+1)**(n*n) matrices; n = 1 and m = 0 are closed forms.
+    Raises BudgetExceededError before the budget check, with `required`
+    None, for n > _EXPANSION_MAX_N or past that bound: every such n >= 2,
+    m >= 1 has at least 2**64 row stacks, too many ever to finish, so no
+    budget would do.
     """
     if n < 1 or m < 0:
         raise DomainError("need n >= 1 and m >= 0")
-    if n >= 2 and m >= 1 and not batch_det_fits_int64(n, m):
+    if n >= 2 and m >= 1 and not (n <= _EXPANSION_MAX_N and hadamard_below(n, m, 63)):
         raise BudgetExceededError(
             f"exact enumeration runs in int64 only, and n = {n}, m = {m} is past"
-            f" the int64 bound of the minor expansion (batch_det_fits_int64)",
+            f" the int64 bound of the minor expansion (n <= 8 and Hadamard's bound below 2**63)",
             required=None,
             budget=budget,
         )
@@ -223,10 +226,11 @@ def exact_singular_fraction(n: int, m: int, budget: int = DEFAULT_ENUM_BUDGET) -
     for start in range(0, stacks, _ENUM_CHUNK):
         rows = _cube(start, min(start + _ENUM_CHUNK, stacks), m, n * (n - 1))
         a = np.ascontiguousarray(rows.reshape(-1, n - 1, n).transpose(1, 2, 0))
-        keys = np.sort(np.abs(np.stack(leading_minors(a, n - 1), axis=1)), axis=1)
+        minors = np.stack(leading_minors(a, n - 1), axis=1).view(np.int64)
+        keys = np.sort(np.abs(minors), axis=1)
         tally.update(map(tuple, keys.tolist()))
     last = _cube(0, width**n, m, n).T
-    keys = np.array(list(tally), dtype=np.int64)
+    keys = np.array(list(tally), dtype=np.uint64)
     reps = list(tally.values())
     step = max(1, _HITS_ENTRIES // width**n)
     singular = 0

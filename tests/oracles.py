@@ -268,11 +268,9 @@ def lcd_scan_oracle(x, p, d_max, grid_step):
                 rest = mpmath.sqrt(mpmath.fsum(frac[i] * frac[i] for i in order[s:]))
             return LcdScanResult(
                 lcd_upper=d,
-                grid_step=grid_step,
-                d_max=d_max,
                 certificate=LcdCertificate(d, tuple(sorted(order[:s])), float(rest)),
             )
-    return LcdScanResult(lcd_upper=math.inf, grid_step=grid_step, d_max=d_max, certificate=None)
+    return LcdScanResult(lcd_upper=math.inf, certificate=None)
 
 
 def uniform_ints(gen, width, count):

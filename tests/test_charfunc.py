@@ -10,6 +10,7 @@ from intmat.charfunc import (
     C2,
     ETA,
     G_eval,
+    SmallBallReport,
     charfn_modulus,
     derive_eta,
     derive_gaussian_coefficient,
@@ -22,7 +23,7 @@ from intmat.charfunc import (
 from intmat.errors import DomainError
 from intmat.geometry import LcdParams, RealVector, normalize, random_unit_vector
 from intmat.sampling import Seed
-from intmat.singularity import wilson_interval
+from intmat.singularity import EstimateReport, wilson_interval
 
 # pilot over the small-ball fixtures: max observed mc/esseen ratio 0.49
 ESSEEN_K = 1.0
@@ -159,6 +160,15 @@ def test_esseen_n1_fine_grid_oracle():
     oracle = float(np.trapezoid(np.abs((1 + 2 * np.cos(ts)) / 3), ts))
     got = esseen_integral([1.0], 1, 0.1)
     assert got == pytest.approx(0.1 * 2 * oracle, rel=1e-5)
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, 0.0])
+def test_epsilon_must_be_positive_and_finite(eps):
+    with pytest.raises(DomainError, match="finite"):
+        esseen_integral([0.6, 0.8], 2, eps)
+    mc = EstimateReport.from_counts(10, 1, Seed(1), 2, 2, 0.0)
+    with pytest.raises(DomainError, match="finite"):
+        SmallBallReport(eps, mc, 0.5, None)
 
 
 def test_phi_integral_monotone_in_cutoff():

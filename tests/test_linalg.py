@@ -10,11 +10,11 @@ from intmat.errors import DimensionError
 from intmat.linalg import (
     IntMatrix,
     _det_rows,
-    batch_det_fits_int64,
     det,
     det_batch,
     det_mod,
     det_residues,
+    hadamard_below,
     is_singular,
     kernel_basis,
     maximal_minors,
@@ -298,16 +298,15 @@ def test_batch_det_matches_scalar():
     rng = np.random.default_rng(18)
     for n in range(1, 7):
         mats = rng.integers(-3, 4, size=(400, n, n))
-        assert batch_det_fits_int64(n, 3)
+        assert hadamard_below(n, 3, 63)
         got = det_batch(mats)
         for i in range(mats.shape[0]):
             assert int(got[i]) == det(IntMatrix.from_rows(mats[i].tolist()))
 
 
 def test_batch_det_overflow_guard():
-    assert batch_det_fits_int64(4, 8)
-    assert not batch_det_fits_int64(9, 1)  # n >= 9 always takes the mod-p filter
-    assert not batch_det_fits_int64(30, 1000)
+    assert hadamard_below(4, 8, 63)
+    assert not hadamard_below(30, 1000, 63)
 
 
 INT64_MAX = (1 << 63) - 1
@@ -315,11 +314,11 @@ P = linalg._FILTER_PRIME
 
 
 def largest_fitting_m(n):
-    """Largest m with batch_det_fits_int64(n, m), capped at int64's range."""
+    """Largest m with hadamard_below(n, m, 63), capped at int64's range."""
     lo, hi = 0, INT64_MAX
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        lo, hi = (mid, hi) if batch_det_fits_int64(n, mid) else (lo, mid - 1)
+        lo, hi = (mid, hi) if hadamard_below(n, mid, 63) else (lo, mid - 1)
     return lo
 
 
@@ -332,8 +331,8 @@ def assert_batch_matches_scalar(mats):
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_batch_det_both_branches_up_to_the_guard(n):
-    # m = 3 and the largest m the int64 guard admits; numpy int64 wraps
-    # silently, so the all-+-m batches at that m are the overflow check
+    # m = 3 and the largest m Hadamard's bound admits at 63 bits; the
+    # all-+-m batches at that m are the overflow check
     rng = np.random.default_rng(100 + n)
     for m in (3, largest_fitting_m(n)):
         uniform = rng.integers(-m, m, size=(40, n, n), endpoint=True, dtype=np.int64)
@@ -379,16 +378,41 @@ def test_batch_det_property_matches_scalar(mats):
     assert_batch_matches_scalar(mats)
 
 
-@pytest.mark.parametrize("n, edge", [(8, 77), (6, 549), (4, 25_809)])
+@pytest.mark.parametrize("n, edge", [(8, 82), (6, 591), (4, 27_554)])
 def test_expansion_guard_edge(n, edge):
-    # n * m * (m * sqrt(n-1))**(n-1) < 2**63 decides the n <= 8 branch exactly
-    assert batch_det_fits_int64(n, edge)
-    assert not batch_det_fits_int64(n, edge + 1)
+    # (m * m * n)**n < 2**126 decides det_batch's int64 range exactly
+    assert hadamard_below(n, edge, 63)
+    assert not hadamard_below(n, edge + 1, 63)
 
 
 def test_expansion_guard_admits_the_exact_workload_alphabets():
-    assert batch_det_fits_int64(8, 16)
-    assert batch_det_fits_int64(6, 64)
+    assert hadamard_below(8, 16, 63)
+    assert hadamard_below(6, 64, 63)
+
+
+HADAMARD_EDGES = {
+    15: [32_767, 127, 18, 6, 3, 2, 1, 1],
+    63: [INT64_MAX, 2**31 - 1, 1_210_791, 27_554, 2_776, 591, 193, 82],
+}
+
+
+@pytest.mark.parametrize("bits", sorted(HADAMARD_EDGES))
+@pytest.mark.parametrize("n", range(1, 9))
+def test_hadamard_bound_edges(bits, n):
+    # the largest m whose bound (m * sqrt(n))**n stays below 2**bits; at
+    # n = 2, 4 and 8 m times a Sylvester-Hadamard matrix attains it, so the
+    # edge is tight: exact there, and one past it |det| >= 2**bits
+    edge = HADAMARD_EDGES[bits][n - 1]
+    assert hadamard_below(n, edge, bits)
+    assert not hadamard_below(n, edge + 1, bits)
+    if n in (2, 4, 8):
+        at_edge = edge * sylvester_hadamard(n)[None]
+        want = _det_rows(at_edge[0].tolist())
+        if bits == 63:
+            assert int(det_batch(at_edge)[0]) == want
+        else:
+            assert int(det_residues(at_edge).view(np.int16)[0]) == want
+        assert abs(_det_rows(((edge + 1) * sylvester_hadamard(n)).tolist())) >= 2**bits
 
 
 @st.composite
@@ -470,7 +494,7 @@ def test_batch_det_one_extreme_matrix_forces_int64():
     rng = np.random.default_rng(402)
     mats = rng.integers(-4, 5, size=(10_000, 8, 8))
     assert_batch_matches_scalar(mats)
-    mats[9_999] = 77 * sylvester_hadamard(8)  # the largest m batch_det_fits_int64 admits
+    mats[9_999] = 82 * sylvester_hadamard(8)  # the largest m hadamard_below(8, m, 63) admits
     assert_batch_matches_scalar(mats)
 
 

@@ -10,10 +10,9 @@ from intmat.errors import BudgetExceededError, DomainError, FitError
 from intmat.linalg import (
     _FILTER_PRIME as P,
     _det_rows,
-    _expansion_fits,
-    batch_det_fits_int64,
     det_batch,
     det_residues,
+    hadamard_below,
     nonsingular_mod_p,
 )
 from intmat.sampling import EntryDistribution, Seed
@@ -73,14 +72,14 @@ def test_exact_fraction_pinned_values():
     assert exact_singular_fraction(3, 3) == Fraction(2840071, 40353607)
 
 
-@pytest.mark.parametrize("n, m", [(9, 1), (8, 78), (2, 2**31)])
+@pytest.mark.parametrize("n, m", [(9, 1), (8, 83), (2, 2**31)])
 def test_exact_fraction_refuses_past_the_int64_bound(monkeypatch, n, m):
     # each has at least 2**64 row stacks: the refusal comes before any chunk
     def no_enumeration(*args):
         raise AssertionError("no row stack may be enumerated past the int64 bound")
 
     monkeypatch.setattr(intmat.singularity, "_cube", no_enumeration)
-    assert not batch_det_fits_int64(n, m)
+    assert n > 8 or not hadamard_below(n, m, 63)
     with pytest.raises(BudgetExceededError, match="int64"):
         exact_singular_fraction(n, m, budget=(2 * m + 1) ** (n * n))
 
@@ -260,7 +259,7 @@ def test_filter_takes_int16_batches_off_the_guard():
     mats = rng.integers(-100, 101, size=(300, 8, 8)).astype(np.int16)
     mats[:100, 7] = mats[:100, 3]
     mats[100:110, :, 0] = -32768  # int16's lowest value
-    assert not batch_det_fits_int64(8, 100)
+    assert not hadamard_below(8, 100, 63)
     assert_filter_matches_scalar(mats)
 
 
@@ -280,14 +279,13 @@ def record_filter_input(monkeypatch) -> list:
 
 
 def _refuse(*args):
-    raise AssertionError("_count_singular has one exact path: no det_batch, no int64 guard")
+    raise AssertionError("_count_singular has one exact path: no det_batch")
 
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_count_never_calls_det_batch(n, monkeypatch):
     for module in (intmat.singularity, intmat.linalg):
         monkeypatch.setattr(module, "det_batch", _refuse)
-        monkeypatch.setattr(module, "batch_det_fits_int64", _refuse)
     rng = np.random.default_rng(1000 + n)
     for m in (1, 3, 77, 2**40):
         mats = rng.integers(-m, m, size=(40, n, n), endpoint=True, dtype=np.int64)
@@ -339,12 +337,12 @@ def test_residue_pass_hadamard_multiples(n):
 
 
 @pytest.mark.parametrize(
-    "n, edge", [(1, 32_767), (2, 127), (3, 17), (4, 6), (5, 3), (6, 2), (7, 1), (8, 1)]
+    "n, edge", [(1, 32_767), (2, 127), (3, 18), (4, 6), (5, 3), (6, 2), (7, 1), (8, 1)]
 )
 def test_residue_pass_at_the_int16_exact_edge(n, edge, monkeypatch):
     # up to the edge every |det| < 2**15 and the residues alone give the
     # count; one past it the zero residues, and only they, go to the filter
-    assert _expansion_fits(n, edge, 15) and not _expansion_fits(n, edge + 1, 15)
+    assert hadamard_below(n, edge, 15) and not hadamard_below(n, edge + 1, 15)
     received = record_filter_input(monkeypatch)
     rng = np.random.default_rng(800 + n)
     for m in (edge, edge + 1):

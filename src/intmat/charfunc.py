@@ -58,16 +58,14 @@ def f_grid(y, m: int) -> np.ndarray:
     return np.where(near, 1.0, np.minimum(val, 1.0))
 
 
-def G_eval(y: float, eta: float = ETA) -> float:
-    """Envelope exp(-eta*y^2) on [0, 1], exp(-eta)/y beyond; continuous
+def G_eval(y: float) -> float:
+    """Envelope exp(-ETA*y^2) on [0, 1], exp(-ETA)/y beyond; continuous
     at 1 and non-increasing."""
     if y < 0:
         raise DomainError("G is defined for y >= 0")
-    if eta <= 0:
-        raise DomainError("eta must be positive")
     if y <= 1.0:
-        return math.exp(-eta * y * y)
-    return math.exp(-eta) / y
+        return math.exp(-ETA * y * y)
+    return math.exp(-ETA) / y
 
 
 def _direction_floats(x) -> np.ndarray:
@@ -211,7 +209,7 @@ def small_ball_probe(
     start = time.perf_counter()
     hits = map_shards(count_shard, trials, threads)
     elapsed = time.perf_counter() - start
-    mc = EstimateReport.from_counts(trials, hits, seed, n, m, elapsed)
+    mc = EstimateReport.from_counts(trials, hits, n, m, elapsed)
     bound = lcd_regime_bound(epsilon, m, n, lcd_params) if lcd_params is not None else None
     return SmallBallReport(
         epsilon=epsilon,
@@ -247,16 +245,16 @@ def derive_gaussian_coefficient(m_max: int = 64, samples: int = 4000) -> float:
     return _floor_sig(best)
 
 
-def derive_eta(m_max: int = 64, samples: int = 4000, c2: float | None = None) -> float:
-    """Largest eta <= min(ln pi, c2) with F(y) <= G(m*y) on [0, 1/2].
+def derive_eta(m_max: int = 64, samples: int = 4000) -> float:
+    """Largest eta <= min(ln pi, c2) with F(y) <= G(m*y) on [0, 1/2], G's
+    envelope taken at eta and c2 from `derive_gaussian_coefficient` over
+    the same scan.
 
     On m*y <= 1 the constraint is eta <= -ln F / (m*y)^2; on m*y >= 1 it
     is eta <= -ln(F*m*y). The scan minimum is floored at 3 significant
     digits.
     """
-    if c2 is None:
-        c2 = derive_gaussian_coefficient(m_max, samples)
-    eta = min(math.log(math.pi), c2)
+    eta = min(math.log(math.pi), derive_gaussian_coefficient(m_max, samples))
     for m in range(1, m_max + 1):
         y = np.linspace(1e-6, 0.5, samples)
         f = f_grid(y, m)

@@ -21,7 +21,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .charfunc import ETA, G_eval, f_grid, small_ball_probe
+from .charfunc import G_eval, f_grid, small_ball_probe
 from .errors import BudgetExceededError, DomainError, GenerationError
 from .formats import format_vector, read_matrix, read_vector, write_matrix
 from .geometry import (
@@ -85,6 +85,17 @@ def _probability_fields(name: str, value: Fraction | float) -> dict:
     if isinstance(value, Fraction):
         return {name: float(value), f"{name}_exact": _fraction_str(value)}
     return {name: float(value)}
+
+
+def _mc_fields(report) -> dict:
+    """The counts, point estimate and interval of a Monte Carlo report."""
+    return {
+        "trials": report.trials,
+        "hits": report.hits,
+        **_probability_fields("estimate", report.estimate_fraction()),
+        "ci_low": report.ci_low,
+        "ci_high": report.ci_high,
+    }
 
 
 def _emit(config: dict, fields: dict, fmt: str, stream) -> int:
@@ -163,15 +174,7 @@ def _cmd_estimate(args, out) -> int:
             f"{seed.value}:{seed.stream}\n"
         )
         return 0
-    fields = {
-        "n": report.n,
-        "m": report.m,
-        "trials": report.trials,
-        "hits": report.hits,
-        **_probability_fields("estimate", report.estimate_fraction()),
-        "ci_low": report.ci_low,
-        "ci_high": report.ci_high,
-    }
+    fields = {"n": report.n, "m": report.m, **_mc_fields(report)}
     if fmt == "human":
         fields["elapsed_s"] = round(report.elapsed, 3)
         fields["threads"] = threads
@@ -297,9 +300,9 @@ def _cmd_charfunc(args, out) -> int:
     if args.format == "csv":
         out.write("y,F,G_bound\n")
         for y, f in zip(ys, fvals):
-            out.write(f"{float(y)!r},{float(f)!r},{G_eval(args.m * float(y), ETA)!r}\n")
+            out.write(f"{float(y)!r},{float(f)!r},{G_eval(args.m * float(y))!r}\n")
         return 0
-    rows = [[float(y), float(f), G_eval(args.m * float(y), ETA)] for y, f in zip(ys, fvals)]
+    rows = [[float(y), float(f), G_eval(args.m * float(y))] for y, f in zip(ys, fvals)]
     config = {"command": "charfunc", "m": args.m, "grid": grid}
     return _emit(config, {"rows": rows}, args.format, out)
 
@@ -320,16 +323,11 @@ def _cmd_smallball(args, out) -> int:
     report = small_ball_probe(
         direction, args.m, args.eps, args.trials, seed, lcd_params=params, threads=threads
     )
-    mc = report.mc_probability
     fields = {
         "n": args.n,
         "m": args.m,
         "epsilon": report.epsilon,
-        "trials": mc.trials,
-        "hits": mc.hits,
-        **_probability_fields("estimate", mc.estimate_fraction()),
-        "ci_low": mc.ci_low,
-        "ci_high": mc.ci_high,
+        **_mc_fields(report.mc_probability),
         "esseen_integral": report.esseen_integral,
         "lcd_bound": report.lcd_bound,
     }

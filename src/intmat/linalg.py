@@ -17,15 +17,14 @@ division-free expansion over column subsets (`leading_minors`) in uint16
 lanes of at most _LANE matrices; `det_batch` runs it in uint64 lanes, and
 exact enumeration stops it one level early for the maximal minors of
 (n-1) x n row stacks. Unsigned wraparound keeps every determinant exact
-modulo 2**w for entries of any size, and read as signed it is the
-determinant when Hadamard's bound (m * sqrt(n))**n for entries |a| <= m is
-below 2**(w-1) (`hadamard_below`): in `det_residues` that is the
-int16-exact case. Otherwise a nonzero residue proves the matrix
-nonsingular, and only the zero residues, the singular matrices and a few
-in 10**5 others, go on. They, and every batch past n = 8, go through
-`nonsingular_mod_p`, elimination modulo one prime that can only prove a
-matrix nonsingular; the caller confirms the rest with the scalar
-big-integer routine. No Monte Carlo path calls `det_batch`.
+modulo 2**w for entries of any size, so a nonzero residue proves the
+matrix nonsingular, and a zero residue proves it singular when Hadamard's
+bound (m * sqrt(n))**n for entries |a| <= m is below 2**w
+(`hadamard_below`). Otherwise only the zero residues, the singular
+matrices and a few in 10**5 others, go on. They, and every batch past
+n = 8, go through `nonsingular_mod_p`, elimination modulo one prime that
+can only prove a matrix nonsingular; the caller confirms the rest with the
+scalar big-integer routine. No Monte Carlo path calls `det_batch`.
 
 `maximal_minors` gives every k x k minor of one k x n matrix modulo the
 prime _FILTER_PRIME (the MDS check) by the same expansion, one level of
@@ -54,7 +53,7 @@ from .errors import DimensionError
 _FILTER_PRIME = (1 << 29) - 3
 
 # Largest n that Monte Carlo sends through the residue pass before
-# `nonsingular_mod_p`, and that exact enumeration expands.
+# `nonsingular_mod_p`.
 # The expansion costs n * 2**(n-1) vector multiply-adds and the filter
 # ~n**3/3 lane updates plus a remainder each. On a 2-vCPU Xeon, per matrix
 # of entries in [-3, 3] in lanes of 8,192, the uint16 expansion
@@ -128,14 +127,10 @@ class IntMatrix:
         flat = tuple(self.at(i, j) for i in range(self.rows) for j in cols)
         return IntMatrix(self.rows, len(cols), flat)
 
-    @property
-    def is_square(self) -> bool:
-        return self.rows == self.cols
-
 
 def det(m: IntMatrix) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination."""
-    if not m.is_square:
+    if m.rows != m.cols:
         raise DimensionError(f"determinant needs a square matrix, got {m.rows}x{m.cols}")
     return _det_rows(m.to_lists())
 
@@ -147,27 +142,8 @@ def _det_rows(a: list[list[int]]) -> int:
 
 
 def det_mod(m: IntMatrix, p: int) -> int:
-    """Determinant modulo a prime, by ordinary elimination mod p."""
-    if not m.is_square:
-        raise DimensionError("determinant needs a square matrix")
-    n = m.rows
-    a = [[v % p for v in m.row(i)] for i in range(n)]
-    d = 1
-    for k in range(n):
-        piv_row = next((i for i in range(k, n) if a[i][k]), None)
-        if piv_row is None:
-            return 0
-        if piv_row != k:
-            a[k], a[piv_row] = a[piv_row], a[k]
-            d = -d % p
-        piv = a[k][k]
-        d = d * piv % p
-        inv = pow(piv, p - 2, p)
-        for i in range(k + 1, n):
-            f = a[i][k] * inv % p
-            if f:
-                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[k])]
-    return d
+    """Determinant modulo p."""
+    return det(m) % p
 
 
 def is_singular(m: IntMatrix) -> bool:
@@ -509,9 +485,9 @@ def det_residues(mats: np.ndarray) -> np.ndarray:
     """det of each matrix of a (B, n, n) integer batch modulo 2**16, as uint16.
 
     The expansion of `det_batch` in uint16 lanes, exact modulo 2**16 for
-    entries of any size. A nonzero residue proves the matrix nonsingular.
-    When `hadamard_below(n, max|entry|, 15)` holds, the residue read as
-    int16 is the determinant itself.
+    entries of any size. A nonzero residue proves the matrix nonsingular;
+    when `hadamard_below(n, max|entry|, 16)` holds, a zero residue proves it
+    singular.
     """
     return _lane_dets(mats, np.uint16)
 

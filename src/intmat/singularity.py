@@ -65,7 +65,6 @@ class EstimateReport:
     estimate: float
     ci_low: float
     ci_high: float
-    seed: Seed
     n: int
     m: int | None
     elapsed: float
@@ -78,12 +77,12 @@ class EstimateReport:
         return Fraction(self.hits, self.trials)
 
     @classmethod
-    def from_counts(cls, trials, hits, seed, n, m, elapsed) -> "EstimateReport":
+    def from_counts(cls, trials, hits, n, m, elapsed) -> "EstimateReport":
         lo, hi = wilson_interval(hits, trials)
         if hits == 0:
             # rule of three: one-sided 95% upper bound when nothing was seen
             hi = min(1.0, 3.0 / trials)
-        return cls(trials, hits, hits / trials, lo, hi, seed, n, m, elapsed)
+        return cls(trials, hits, hits / trials, lo, hi, n, m, elapsed)
 
 
 @dataclass(frozen=True)
@@ -123,19 +122,20 @@ def map_shards(count_shard, trials: int, threads: int) -> int:
 def _count_singular(mats: np.ndarray) -> int:
     """Number of singular matrices in a (B, n, n) batch.
 
-    For n <= _EXPANSION_MAX_N, `det_residues` runs first. When
-    `hadamard_below(n, top, 15)` holds for the batch's largest |entry| top,
-    every |det| < 2**15, so the residue is the determinant and its zeros are
-    the answer. Otherwise a nonzero residue proves a matrix nonsingular, and
-    only the zero residues (the singular matrices and about 1 in 2.5 * 10**4
-    others on uniform draws) go on. They, and every batch past n = 8, take
-    `nonsingular_mod_p`, which proves all but about 1 in 2**29 of the
-    nonsingular ones, and the exact big-integer `_det_rows` decides the rest.
+    For n <= _EXPANSION_MAX_N, `det_residues` runs first, and a nonzero
+    residue proves a matrix nonsingular. When `hadamard_below(n, top, 16)`
+    holds for the batch's largest |entry| top, every |det| < 2**16, so a
+    zero residue is a zero determinant and the zeros are the answer.
+    Otherwise only the zero residues (the singular matrices and about 1 in
+    2.5 * 10**4 others on uniform draws) go on. They, and every batch past
+    n = 8, take `nonsingular_mod_p`, which proves all but about 1 in 2**29
+    of the nonsingular ones, and the exact big-integer `_det_rows` decides
+    the rest.
     """
     n = mats.shape[1]
     if n <= _EXPANSION_MAX_N:
         zero = det_residues(mats) == 0
-        if hadamard_below(n, max(int(mats.max()), -int(mats.min())), 15):
+        if hadamard_below(n, max(int(mats.max()), -int(mats.min())), 16):
             return int(np.count_nonzero(zero))
         mats = mats[zero]
     return sum(_det_rows(mat.tolist()) == 0 for mat in mats[~nonsingular_mod_p(mats)])
@@ -168,7 +168,7 @@ def mc_singularity(
     hits = map_shards(partial(_singular_count, n, dist, seed), trials, threads)
     elapsed = time.perf_counter() - start
     m = dist.m if dist.kind == "uniform_symmetric" else None
-    return EstimateReport.from_counts(trials, hits, seed, n, m, elapsed)
+    return EstimateReport.from_counts(trials, hits, n, m, elapsed)
 
 
 def _cube(start: int, stop: int, m: int, length: int) -> np.ndarray:
@@ -187,30 +187,35 @@ def exact_singular_fraction(n: int, m: int, budget: int = DEFAULT_ENUM_BUDGET) -
 
     det M = c . r for the last row r, where c holds the n signed maximal
     minors of the first n-1 rows. Only those (2m+1)**(n*(n-1)) row stacks
-    are enumerated, in chunks; their minors come from `leading_minors`.
-    The alphabet is symmetric and r ranges over the whole cube, so the
-    number of r with c . r = 0 depends only on sorted |c|: the stacks are
-    tallied by that key, and each distinct key is multiplied against every
-    last row once. Both steps run in uint64, exact modulo 2**64, and each
-    minor and each c . r is the determinant of a matrix with entries in
-    +-m, below 2**63 when `hadamard_below(n, m, 63)`: the minors read as
-    int64 are exact, and c . r is zero iff its residue is. The budget still
-    counts all (2m+1)**(n*n) matrices; n = 1 and m = 0 are closed forms.
+    are enumerated, in chunks of `_cube`'s uint64 odometer; their minors
+    come from `leading_minors`. The alphabet is symmetric and r ranges over
+    the whole cube, so the number of r with c . r = 0 depends only on
+    sorted |c|: the stacks are tallied by that key, and each distinct key is
+    multiplied against every last row once. Both steps run in uint64, exact
+    modulo 2**64. The budget counts all (2m+1)**(n*n) matrices; n = 1 and
+    m = 0 are closed forms.
+
     Raises BudgetExceededError before the budget check, with `required`
-    None, for n > _EXPANSION_MAX_N or past that bound: every such n >= 2,
-    m >= 1 has at least 2**64 row stacks, too many ever to finish, so no
-    budget would do.
+    None, when the row stacks reach 2**64, the odometer's range and too many
+    ever to finish, so no budget would do. For m >= 1 that admits only
+    n <= 6, with m up to 2**31 - 1, 812, 19, 4 and 1 for n = 2..6. There
+    Hadamard's bound on an n x n or (n-1) x (n-1) determinant of entries in
+    +-m is below 2**63, so every minor read as int64 is exact, and c . r is
+    zero iff its residue is.
     """
     if n < 1 or m < 0:
         raise DomainError("need n >= 1 and m >= 0")
-    if n >= 2 and m >= 1 and not (n <= _EXPANSION_MAX_N and hadamard_below(n, m, 63)):
+    width = 2 * m + 1
+    length = n * (n - 1)  # entries of a row stack
+    # 2m+1 > 2**m.bit_length() for m >= 1: the first test decides the large
+    # cases without forming the power
+    if length * m.bit_length() >= 64 or width**length >= 1 << 64:
         raise BudgetExceededError(
-            f"exact enumeration runs in int64 only, and n = {n}, m = {m} is past"
-            f" the int64 bound of the minor expansion (n <= 8 and Hadamard's bound below 2**63)",
+            f"n = {n}, m = {m} has at least 2**64 row stacks, past exact"
+            f" enumeration's uint64 odometer and too many ever to finish",
             required=None,
             budget=budget,
         )
-    width = 2 * m + 1
     total = width ** (n * n)
     if total > budget:
         raise BudgetExceededError(
@@ -221,10 +226,10 @@ def exact_singular_fraction(n: int, m: int, budget: int = DEFAULT_ENUM_BUDGET) -
         )
     if n == 1 or m == 0:
         return Fraction(1, width) if n == 1 else Fraction(1)
-    stacks = width ** (n * (n - 1))
+    stacks = width**length
     tally: Counter[tuple] = Counter()
     for start in range(0, stacks, _ENUM_CHUNK):
-        rows = _cube(start, min(start + _ENUM_CHUNK, stacks), m, n * (n - 1))
+        rows = _cube(start, min(start + _ENUM_CHUNK, stacks), m, length)
         a = np.ascontiguousarray(rows.reshape(-1, n - 1, n).transpose(1, 2, 0))
         minors = np.stack(leading_minors(a, n - 1), axis=1).view(np.int64)
         keys = np.sort(np.abs(minors), axis=1)

@@ -52,11 +52,11 @@ def test_exact_budget_exceeded_exit_2(capsys):
 
 @pytest.mark.parametrize("n", ["9", "100000"])
 def test_exact_past_the_int64_bound_asks_for_no_budget(capsys, n):
-    # the int64 bound is checked first: no budget would let (9, 1) run, and
+    # the row stacks are counted first: no budget would let (9, 1) run, and
     # (100000, 1) once computed 3**(10**10) for its budget check
     code, out, err = run(capsys, ["exact", "--n", n, "--m", "1"])
     assert code == 2 and out == ""
-    assert "int64" in err and "rerun with budget" not in err
+    assert "2**64 row stacks" in err and "rerun with budget" not in err
     assert err.count("\n") == 1
 
 

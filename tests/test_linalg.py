@@ -12,7 +12,6 @@ from intmat.linalg import (
     _det_rows,
     det,
     det_batch,
-    det_mod,
     det_residues,
     hadamard_below,
     is_singular,
@@ -284,14 +283,6 @@ def test_kernel_basis_39x40_lifting_matches_oracle(bound):
         m = random_matrix(rng, 39, 40, -bound, bound)
         assert linalg._lifted_kernel(m) is not None
         assert kernel_basis(m) == kernel_basis_oracle(m)
-
-
-def test_det_mod_agrees_with_det():
-    rng = np.random.default_rng(17)
-    p = (1 << 61) - 1
-    for _ in range(100):
-        m = random_matrix(rng, 4, 4, -6, 6)
-        assert det_mod(m, p) == det(m) % p
 
 
 def test_batch_det_matches_scalar():

@@ -72,16 +72,40 @@ def test_exact_fraction_pinned_values():
     assert exact_singular_fraction(3, 3) == Fraction(2840071, 40353607)
 
 
-@pytest.mark.parametrize("n, m", [(9, 1), (8, 83), (2, 2**31)])
+@pytest.mark.parametrize("n, m", [(9, 1), (8, 83), (2, 2**31), (7, 1), (4, 20)])
 def test_exact_fraction_refuses_past_the_int64_bound(monkeypatch, n, m):
     # each has at least 2**64 row stacks: the refusal comes before any chunk
     def no_enumeration(*args):
-        raise AssertionError("no row stack may be enumerated past the int64 bound")
+        raise AssertionError("no row stack may be enumerated past 2**64 of them")
 
     monkeypatch.setattr(intmat.singularity, "_cube", no_enumeration)
-    assert n > 8 or not hadamard_below(n, m, 63)
-    with pytest.raises(BudgetExceededError, match="int64"):
+    assert (2 * m + 1) ** (n * (n - 1)) >= 2**64
+    with pytest.raises(BudgetExceededError, match=r"2\*\*64 row stacks") as err:
         exact_singular_fraction(n, m, budget=(2 * m + 1) ** (n * n))
+    assert err.value.required is None
+
+
+class _Enumerated(Exception):
+    pass
+
+
+def _enumerated(*args):
+    raise _Enumerated
+
+
+# the largest m whose (2m+1)**(n*(n-1)) row stacks stay below 2**64, the
+# range of _cube's uint64 odometer; from n = 7 on only m = 0 is admitted
+@pytest.mark.parametrize("n, edge", [(2, 2**31 - 1), (3, 812), (4, 19), (5, 4), (6, 1)])
+def test_exact_fraction_row_stack_edge(monkeypatch, n, edge):
+    monkeypatch.setattr(intmat.singularity, "_cube", _enumerated)
+    assert (2 * edge + 1) ** (n * (n - 1)) < 2**64 <= (2 * edge + 3) ** (n * (n - 1))
+    # the int64 minors and dets that enumeration reads are exact at the edge
+    assert hadamard_below(n, edge, 63) and hadamard_below(n - 1, edge, 63)
+    with pytest.raises(_Enumerated):
+        exact_singular_fraction(n, edge, budget=(2 * edge + 1) ** (n * n))
+    with pytest.raises(BudgetExceededError) as err:
+        exact_singular_fraction(n, edge + 1, budget=(2 * edge + 3) ** (n * n))
+    assert err.value.required is None
 
 
 def test_exact_fraction_budget():
@@ -337,12 +361,12 @@ def test_residue_pass_hadamard_multiples(n):
 
 
 @pytest.mark.parametrize(
-    "n, edge", [(1, 32_767), (2, 127), (3, 18), (4, 6), (5, 3), (6, 2), (7, 1), (8, 1)]
+    "n, edge", [(1, 65_535), (2, 181), (3, 23), (4, 7), (5, 4), (6, 2), (7, 1), (8, 1)]
 )
 def test_residue_pass_at_the_int16_exact_edge(n, edge, monkeypatch):
-    # up to the edge every |det| < 2**15 and the residues alone give the
+    # up to the edge every |det| < 2**16 and the residues alone give the
     # count; one past it the zero residues, and only they, go to the filter
-    assert hadamard_below(n, edge, 15) and not hadamard_below(n, edge + 1, 15)
+    assert hadamard_below(n, edge, 16) and not hadamard_below(n, edge + 1, 16)
     received = record_filter_input(monkeypatch)
     rng = np.random.default_rng(800 + n)
     for m in (edge, edge + 1):
@@ -407,18 +431,18 @@ def test_wilson_interval_basics():
 
 
 def test_zero_hit_rule_of_three():
-    r = EstimateReport.from_counts(1000, 0, Seed(1), 2, 1, 0.0)
+    r = EstimateReport.from_counts(1000, 0, 2, 1, 0.0)
     assert r.estimate == 0.0
     assert r.ci_high == pytest.approx(3 / 1000)
     assert r.ci_low == 0.0
 
 
 def test_report_invariants():
-    r = EstimateReport.from_counts(5000, 17, Seed(1), 3, 2, 0.1)
+    r = EstimateReport.from_counts(5000, 17, 3, 2, 0.1)
     assert r.ci_low <= r.estimate <= r.ci_high
     assert r.estimate_fraction() == Fraction(17, 5000)
     with pytest.raises(DomainError):
-        EstimateReport.from_counts(10, 11, Seed(1), 2, 1, 0.0)
+        EstimateReport.from_counts(10, 11, 2, 1, 0.0)
 
 
 def test_fit_exact_model_recovery():

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import DomainError
 from .geometry import LcdParams, RealVector
-from .sampling import EntryDistribution, Seed, generator, sample_batches
+from .sampling import EntryDistribution, Seed, generator
 from .singularity import EstimateReport, map_shards
 
 # Near-integer arguments switch to the continuity value F = 1.
@@ -31,7 +31,7 @@ C1 = 1.0 / math.pi
 C2 = 0.8
 ETA = 0.8
 
-# Rows per projection in `small_ball_probe`. On a whole 2**20-entry sub-batch
+# Rows per projection in `small_ball_probe`. On a whole 2**19-entry shard
 # OpenBLAS (0.3.31) runs a multithreaded dgemv whose last bits differ from
 # the single-threaded one; blocks of up to 4,096 rows at n = 100 gave the
 # single-threaded bits at 1 and 2 threads, and 1,024 rows stay in cache.
@@ -184,9 +184,10 @@ def small_ball_probe(
     """Monte Carlo estimate of Pr[|<X/m, x>| <= eps] for integer X.
 
     The trials run in the Monte Carlo shards of `map_shards`, each drawing
-    its rows from its own counter offset, so the estimate is identical for
-    any thread count. Attaches the matching Esseen integral, and the
-    LCD-regime analytic bound when (alpha, beta) parameters are supplied.
+    its rows, row-major, in one call from its own counter offset, so the
+    estimate is identical for any thread count. Attaches the matching
+    Esseen integral, and the LCD-regime analytic bound when (alpha, beta)
+    parameters are supplied.
     """
     if trials < 1:
         raise DomainError("trials must be >= 1")
@@ -199,15 +200,12 @@ def small_ball_probe(
     dist = EntryDistribution.uniform_symmetric(m)
 
     def count_shard(shard: int, size: int) -> int:
-        hits = 0
-        for sample in sample_batches(dist, generator(seed, shard=shard), size, n):
-            for start in range(0, len(sample), _PROJECT_ROWS):
-                y = (sample[start : start + _PROJECT_ROWS] @ xs) / m
-                hits += int(np.count_nonzero(np.abs(y) <= epsilon))
-        return hits
+        rows = dist.sample_array(generator(seed, shard=shard), size * n).reshape(size, n)
+        ys = ((rows[i : i + _PROJECT_ROWS] @ xs) / m for i in range(0, size, _PROJECT_ROWS))
+        return sum(int(np.count_nonzero(np.abs(y) <= epsilon)) for y in ys)
 
     start = time.perf_counter()
-    hits = map_shards(count_shard, trials, threads)
+    hits = map_shards(count_shard, trials, n, threads)
     elapsed = time.perf_counter() - start
     mc = EstimateReport.from_counts(trials, hits, n, m, elapsed)
     bound = lcd_regime_bound(epsilon, m, n, lcd_params) if lcd_params is not None else None

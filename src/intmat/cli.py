@@ -50,7 +50,7 @@ import numpy as np
 # and most grid points of an `lcd` scan, --dmax / --step.
 MAX_GRID = 1 << 20
 
-# Largest `estimate --n`: an n x n matrix fits one draw sub-batch.
+# Largest `estimate --n`: an n x n matrix fits the one-trial draw cap.
 MAX_ESTIMATE_N = math.isqrt(_DRAW_BATCH)
 
 # Largest `normal-vector --digits`: each entry's digit string takes about

@@ -65,9 +65,10 @@ _EXPANSION_MAX_N = 8
 # Matrices per lane of det_batch, det_residues and nonsingular_mod_p: the
 # widest level at n = 8, 70 vectors of 8,192 lanes, takes 4.4 MiB in int64
 # and 1.1 MiB in uint16, and the filter's int64 copy of a 10 x 10 lane
-# 6.4 MiB; a whole 2**20-entry sub-batch from sampling is 8 MiB in int64
-# before any level. Per-call overhead grows below 8,192: the uint16
-# expansion at n = 8 takes 1.3 us per matrix in lanes of 2,048.
+# 6.4 MiB; a whole 2**19-entry Monte Carlo shard is 4 MiB in int64 before
+# any level, and at n = 8 it is exactly one lane. Per-call overhead grows
+# below 8,192: the uint16 expansion at n = 8 takes 1.3 us per matrix in
+# lanes of 2,048.
 _LANE = 1 << 13
 
 
@@ -458,14 +459,15 @@ def _lane_dets(mats: np.ndarray, dtype) -> np.ndarray:
     """det of each matrix of a (B, n, n) integer batch modulo 2**w, in the
     unsigned dtype of w bits, by `leading_minors` on equal lanes of at most
     _LANE matrices, whose levels stay small enough to be reused from cache.
-    astype reduces int16 and int64 entries alike modulo 2**w."""
+    One astype per lane reduces int16 and int64 entries alike modulo 2**w
+    into a C-ordered (n, n, lane) copy, which reads whole rows of a Monte
+    Carlo shard, a `.transpose(2, 0, 1)` view of (n, n, B) storage."""
     b, n, n2 = mats.shape
     if n != n2:
         raise DimensionError("batch of square matrices required")
     out = np.empty(b, dtype=dtype)
     for lane in _lanes(b):
-        # reduce, then transpose: 3x faster than the other order in int64
-        a = np.ascontiguousarray(mats[lane].astype(dtype).transpose(1, 2, 0))
+        a = mats[lane].transpose(1, 2, 0).astype(dtype, order="C")
         out[lane] = leading_minors(a, n)[0]
     return out
 

@@ -5,18 +5,17 @@ seed value and 64-bit stream index, and parallel Monte Carlo shards offset
 the 256-bit counter, so every draw is determined by (seed, stream, shard)
 independently of thread scheduling.
 
-Stream version 3 (STREAM_VERSION): uniform {-m, ..., m} entries are numpy's
+Stream version 4 (STREAM_VERSION): uniform {-m, ..., m} entries are numpy's
 bounded integers (Lemire's multiply-shift rejection, exactly uniform) on
 the keyed Philox stream, drawn and returned as int16 when m < _NARROW_M =
 2**11 and as int64 above; custom pmfs map raw 64-bit words through an
 exact cumulative table, read from a 2**16-bucket table indexed by a word's
 top 16 bits and searched only in the buckets that hold a threshold.
-Callers that draw many matrices or rows draw them in sub-batches of whole
-items, at most _DRAW_BATCH entries each (sample_batches). numpy keeps no
-spare 16-bit draws between calls, so for the int16 laws that sub-batch
-schedule is part of the stream; int64 and custom-pmf draws still
-concatenate across calls (Philox keeps the spare 32-bit half of a word in
-its own state), and the tests check both.
+A Monte Carlo shard (`singularity.map_shards`) of max(1, 2**19 // entries
+per trial) trials is one `sample_array` call at its own counter offset; a
+matrix shard is stored lanes-last (entry (i, j) of trial t is draw
+(i * n + j) * size + t), a small-ball shard row-major. Shard sizes and
+layouts are part of the stream. `cli` caps a trial at _DRAW_BATCH entries.
 tests/test_sampling.py pins the stream with golden hashes; numpy does not
 promise stable Generator streams across versions (NEP 19), so a numpy
 upgrade can fail that test.
@@ -33,8 +32,8 @@ import numpy as np
 from .errors import DomainError
 from .linalg import IntMatrix
 
-STREAM_VERSION = 3
-_DRAW_BATCH = 1 << 20  # entries per sub-batch; part of the stream for int16 draws
+STREAM_VERSION = 4
+_DRAW_BATCH = 1 << 20  # most entries of one trial, so of one shard's draw
 _NARROW_M = 1 << 11  # uniform laws with m below it draw int16 (part of the stream)
 _U64 = 1 << 64
 _INT64_LIMIT = 1 << 63
@@ -180,18 +179,6 @@ def _decode_table(dist: EntryDistribution):
     hi = np.searchsorted(thresholds, first | np.uint64((1 << 48) - 1), side="right")
     mixed = lo != hi
     return thresholds, support, support[lo], mixed if mixed.any() else None
-
-
-def sample_batches(dist: EntryDistribution, gen: np.random.Generator, items: int, size: int):
-    """Yield (take, size) draws of `items` items of `size` entries each.
-
-    Each sub-batch holds whole items and at most _DRAW_BATCH entries (an item
-    larger than that is drawn alone), consumed from gen in order.
-    """
-    per = max(1, _DRAW_BATCH // size)
-    for start in range(0, items, per):
-        take = min(per, items - start)
-        yield dist.sample_array(gen, take * size).reshape(take, size)
 
 
 def sample_matrix(n: int, k: int, dist: EntryDistribution, seed: Seed) -> IntMatrix:

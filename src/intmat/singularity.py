@@ -5,12 +5,14 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from itertools import count
 from operator import mul
 from statistics import NormalDist
+from threading import Event
 
 import numpy as np
 
@@ -26,13 +28,11 @@ from .linalg import (
 # Uncalled: perfbench/tracing.py wraps intmat.singularity.det_batch, so the
 # name stays until the tracer reads run statistics instead of private names.
 from .linalg import det_batch  # noqa: F401
-from .sampling import EntryDistribution, Seed, generator, sample_batches
+from .sampling import EntryDistribution, Seed, generator
 
-SHARD_TRIALS = 1 << 15
-# Most shards in one `map_shards` call, 2**31 trials: the pool creates one
-# Future per shard up front, about 100 MiB for 2**16 of them.
-MAX_SHARDS = 1 << 16
-# Most worker threads in one `map_shards` call.
+SHARD_ENTRIES = 1 << 19  # per Monte Carlo shard, one draw; at n = 8 one lane of 8,192
+# Most trials and worker threads in one `map_shards` call.
+MAX_TRIALS = 1 << 31
 MAX_THREADS = 256
 DEFAULT_ENUM_BUDGET = 10**8
 _ENUM_CHUNK = 1 << 16  # row stacks per chunk of exact_singular_fraction
@@ -95,28 +95,41 @@ class ExponentFit:
     residual: float
 
 
-def map_shards(count_shard, trials: int, threads: int) -> int:
-    """The sum of count_shard(i, size) over the shards i of `trials`, in
-    shard order.
+def map_shards(count_shard, trials: int, entries: int, threads: int) -> int:
+    """The sum of count_shard(i, size) over the shards i of `trials` trials
+    of `entries` entries each.
 
-    Shards hold SHARD_TRIALS trials each (the last one the rest). With more
-    than one thread they run on a pool of at most `threads` workers; the
-    result does not depend on the thread count. Raises DomainError before
-    any work for more than MAX_THREADS threads or MAX_SHARDS shards.
+    Shards hold max(1, SHARD_ENTRIES // entries) trials each (the last one
+    the rest). Up to `threads` workers take shard indices from one shared
+    counter until none is left, or until a shard raises, which the call
+    then raises; the counts are exact integers, so the sum does not depend
+    on the thread count. Raises DomainError before any work for more than
+    MAX_TRIALS trials or MAX_THREADS threads.
     """
     if threads < 1:
         raise DomainError("threads must be >= 1")
     if threads > MAX_THREADS:
         raise DomainError(f"threads must be <= {MAX_THREADS}")
-    shards = -(-trials // SHARD_TRIALS)
-    if shards > MAX_SHARDS:
-        raise DomainError(f"trials must be <= {MAX_SHARDS * SHARD_TRIALS}")
-    sizes = [min(SHARD_TRIALS, trials - i * SHARD_TRIALS) for i in range(shards)]
-    workers = min(threads, shards)
-    if workers == 1:
-        return sum(map(count_shard, range(shards), sizes))
+    if trials > MAX_TRIALS:
+        raise DomainError(f"trials must be <= {MAX_TRIALS}")
+    per = max(1, SHARD_ENTRIES // entries)
+    order, stop = count(), Event()
+
+    def drain() -> int:
+        total = 0
+        while not stop.is_set() and (start := next(order) * per) < trials:
+            total += count_shard(start // per, min(per, trials - start))
+        return total
+
+    workers = min(threads, -(-trials // per))
+    if workers <= 1:
+        return drain()
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return sum(pool.map(count_shard, range(shards), sizes))
+        futures = [pool.submit(drain) for _ in range(workers)]
+        try:
+            return sum(f.result() for f in as_completed(futures))
+        finally:
+            stop.set()  # after a failed shard or an interrupt, no worker starts another
 
 
 def _count_singular(mats: np.ndarray) -> int:
@@ -141,10 +154,10 @@ def _count_singular(mats: np.ndarray) -> int:
     return sum(_det_rows(mat.tolist()) == 0 for mat in mats[~nonsingular_mod_p(mats)])
 
 
-def _singular_count(n: int, dist: EntryDistribution, seed: Seed, shard: int, count: int) -> int:
-    gen = generator(seed, shard=shard)
-    batches = sample_batches(dist, gen, count, n * n)
-    return sum(_count_singular(flat.reshape(-1, n, n)) for flat in batches)
+def _singular_count(n: int, dist: EntryDistribution, seed: Seed, shard: int, size: int) -> int:
+    # one draw, stored lanes-last: entry (i, j) of trial t is draw (i * n + j) * size + t
+    draw = dist.sample_array(generator(seed, shard=shard), n * n * size)
+    return _count_singular(draw.reshape(n, n, size).transpose(2, 0, 1))
 
 
 def mc_singularity(
@@ -157,15 +170,15 @@ def mc_singularity(
     """Monte Carlo estimate of Pr[M singular] for M with i.i.d. entries.
 
     Every trial uses an exact singularity test. Trials are split into
-    fixed-size shards with independent counter offsets and reduced in
-    shard order, so the report is identical for any thread count.
+    `map_shards` shards of about SHARD_ENTRIES entries, each drawn from its
+    own counter offset, so the report is identical for any thread count.
     """
     if trials < 1:
         raise DomainError("trials must be >= 1")
     if n < 1:
         raise DomainError("n must be >= 1")
     start = time.perf_counter()
-    hits = map_shards(partial(_singular_count, n, dist, seed), trials, threads)
+    hits = map_shards(partial(_singular_count, n, dist, seed), trials, n * n, threads)
     elapsed = time.perf_counter() - start
     m = dist.m if dist.kind == "uniform_symmetric" else None
     return EstimateReport.from_counts(trials, hits, n, m, elapsed)

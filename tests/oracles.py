@@ -300,3 +300,21 @@ def uniform_ints(gen, width, count):
         out[filled : filled + take] = draw[:take].astype(np.int64)
         filled += take
     return out
+
+
+def philox_zero_count(key, m, trials, shard_trials):
+    """Zeros among `trials` uniform {-m, ..., m} int16 draws taken straight
+    from numpy's Philox keyed `key`: shard s holds the next `shard_trials`
+    of them (the last one the rest) and starts at counter s * 2**128. For
+    n = 1 these are the singular matrices of Monte Carlo stream v4.
+    """
+    import numpy as np
+
+    zeros = 0
+    for s, start in enumerate(range(0, trials, shard_trials)):
+        bits = np.random.Philox(key=np.array(key, dtype=np.uint64),
+                                counter=np.array([0, 0, s, 0], dtype=np.uint64))
+        draws = np.random.Generator(bits).integers(
+            -m, m, size=min(shard_trials, trials - start), dtype=np.int16, endpoint=True)
+        zeros += int(np.count_nonzero(draws == 0))
+    return zeros

@@ -520,6 +520,25 @@ def test_det_residues_lane_boundaries_and_int16_extremes():
     assert np.array_equal(det_residues(mats), want)
 
 
+@pytest.mark.parametrize("n", range(1, 11))
+def test_batch_layouts_agree(n, monkeypatch):
+    # a C-ordered (B, n, n) batch and the same batch as a .transpose(2, 0, 1)
+    # view of (n, n, B) storage, the Monte Carlo layout, in lanes of 16
+    monkeypatch.setattr(linalg, "_LANE", 16)
+    rng = np.random.default_rng(500 + n)
+    narrow = rng.integers(-32768, 32768, size=(50, n, n)).astype(np.int16)
+    narrow[::3, 0, 0] = -32768
+    wide = rng.integers(-(2**62), 2**62, size=(50, n, n), endpoint=True)
+    wide[::4, n - 1, 0] = 2**62
+    for mats in (narrow, wide):
+        mats[:5, n - 1] = mats[:5, 0] if n > 1 else 0  # singular ones
+        view = np.ascontiguousarray(mats.transpose(1, 2, 0)).transpose(2, 0, 1)
+        assert view.base is not None and np.array_equal(view, mats)
+        for f in (det_residues, det_batch, nonsingular_mod_p):
+            assert np.array_equal(f(view), f(mats)), f
+        assert not nonsingular_mod_p(view)[:5].any()
+
+
 def test_minor_plan_subsets_match_combinations():
     for n in range(1, 19):
         for r in range(n):

@@ -16,12 +16,11 @@ from intmat.sampling import (
     Seed,
     generator,
     raw_u64,
-    sample_batches,
     sample_matrix,
     sample_vector,
     vempala_sum_distribution,
 )
-from intmat.singularity import mc_singularity
+from intmat.singularity import SHARD_ENTRIES, mc_singularity
 
 from oracles import uniform_ints
 
@@ -88,7 +87,7 @@ def test_uniform_frequencies_m64():
     assert chi2 < 183.186
 
 
-def test_draws_come_in_bounded_sub_batches(monkeypatch):
+def test_each_shard_is_one_draw(monkeypatch):
     requests, drawn = [], []
     sample_array = EntryDistribution.sample_array
 
@@ -98,40 +97,19 @@ def test_draws_come_in_bounded_sub_batches(monkeypatch):
         return drawn[-1]
 
     monkeypatch.setattr(EntryDistribution, "sample_array", recording)
-    # one shard of 300 zero 64x64 matrices: 1.2M entries, two sub-batches
+    # 300 zero 64x64 matrices: shards of 128 (2**19 entries), 128 and 44
     report = mc_singularity(64, EntryDistribution.uniform_symmetric(0), 300, Seed(1))
     assert report.hits == 300
-    assert requests == [256 * 4096, 44 * 4096]
+    assert requests == [128 * 4096, 128 * 4096, 44 * 4096]
     requests.clear()
     drawn.clear()
-    # rows of n = 2048 entries, 512 rows per sub-batch; x = e1 and eps = 1/2
-    # hit exactly when the first entry is 0
+    # rows of n = 2048 entries, 256 rows per shard, stored row-major; x = e1
+    # and eps = 1/2 hit exactly when the first entry is 0
     n, trials = 2048, 1500
     rep = small_ball_probe([1.0] + [0.0] * (n - 1), 1, 0.5, trials, Seed(2))
-    assert max(requests) <= 1 << 20 and sum(requests) == trials * n
+    assert requests == [256 * n] * 5 + [220 * n]
     first = np.concatenate(drawn).reshape(trials, n)[:, 0]
     assert rep.mc_probability.hits == int(np.count_nonzero(first == 0))
-
-
-def test_sub_batch_size_does_not_change_the_draws(monkeypatch):
-    # int64 and custom-pmf draws concatenate across calls (Philox keeps the
-    # spare 32-bit half of a word between calls), so odd-sized sub-batches
-    # give the one-call draw; int16 draws do not (see the narrow golden)
-    wide = {name: GOLDEN_DRAWS[name] for name in ("uniform_m2_62", "custom_pmf")}
-    wide["uniform_narrow_m"] = (
-        EntryDistribution.uniform_symmetric(sampling._NARROW_M), Seed(105), None
-    )
-    dist = wide["custom_pmf"][0]
-    report = mc_singularity(3, dist, 5000, Seed(4))
-    monkeypatch.setattr(sampling, "_DRAW_BATCH", 50)
-    assert mc_singularity(3, dist, 5000, Seed(4)).hits == report.hits
-    monkeypatch.setattr(sampling, "_DRAW_BATCH", 7)
-    for dist, seed, _ in wide.values():
-        whole = dist.sample_array(generator(seed), 4095)
-        assert whole.dtype == np.int64
-        batches = list(sample_batches(dist, generator(seed), 4095, 1))
-        assert len(batches) == 585
-        assert np.array_equal(np.concatenate(batches).ravel(), whole)
 
 
 def test_narrow_draws_are_int16_below_the_stream_constant():
@@ -295,15 +273,15 @@ GOLDEN_DRAWS = {  # first 4096 draws: (distribution, seed, hash)
         "416f54a4753cb3eb",
     ),
 }
-# 300,000 items of 9 int16 entries: three sub-batches, so the schedule is pinned
-GOLDEN_NARROW_BATCHES = "bf2a5b756051b6fa"
-GOLDEN_ESTIMATE = "ef9ba4f298dca8dd"
+# 300,000 3 x 3 int16 matrices in six shards, each one draw stored lanes-last
+GOLDEN_SHARD_LAYOUT = "24d1055a4e7d20b7"
+GOLDEN_ESTIMATE = "824befaadad54a38"
 GOLDEN_CLI = {
     "smallball": "e0f2047314c3f731",
     "mds_generate": "b91f9e3e46ff0e7a",
     "estimate_n12": "5539544ef85118f3",
 }
-GOLDEN_SMALLBALL_SHARDS = "79c14d4da401bf9d"
+GOLDEN_SMALLBALL_SHARDS = "9d849c9c6b74e2b7"
 GOLDEN_ESTIMATE_ARGV = ["estimate", "--n", "3", "--m", "2", "--trials", "70000", "--seed", "7", "--json"]
 GOLDEN_SMALLBALL_SHARDS_ARGV = ["smallball", "--n", "12", "--m", "3", "--eps", "0.2",
                                 "--trials", "70000", "--seed", "9", "--json"]
@@ -317,15 +295,15 @@ GOLDEN_CLI_ARGV = {
                      "--json"],
 }
 # n = 4 on {-2**40, 0, 2**40}: past the expansion's bound, and singular in half the trials
-GOLDEN_WIDE_LAW = "509b77acd545b8a7"
+GOLDEN_WIDE_LAW = "4d54872333ac7919"
 
 
 def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
 
-def test_golden_hashes_pin_stream_version_3():
-    assert sampling.STREAM_VERSION == 3
+def test_golden_hashes_pin_stream_version_4():
+    assert sampling.STREAM_VERSION == 4
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_DRAWS))
@@ -335,22 +313,28 @@ def test_golden_sample_array(name):
     assert _digest(draws.astype("<i8").tobytes()) == digest
 
 
-def test_golden_narrow_sub_batches():
-    dist = EntryDistribution.uniform_symmetric(3)
-    batches = list(sample_batches(dist, generator(Seed(104)), 300_000, 9))
-    assert [b.shape[0] for b in batches] == [116_508, 116_508, 66_984]
-    draws = np.concatenate(batches).ravel()
-    assert _digest(draws.astype("<i8").tobytes()) == GOLDEN_NARROW_BATCHES
-    # the first sub-batch is the one-call draw's prefix; the next ones are not
-    whole = dist.sample_array(generator(Seed(104)), draws.size)
-    first = batches[0].size
-    assert np.array_equal(draws[:first], whole[:first])
-    assert not np.array_equal(draws[first:], whole[first:])
+def test_golden_shard_layout():
+    n, trials, dist, seed = 3, 300_000, EntryDistribution.uniform_symmetric(3), Seed(104)
+    per = SHARD_ENTRIES // (n * n)
+    sizes = [min(per, trials - start) for start in range(0, trials, per)]
+    assert sizes == [58_254] * 5 + [8_730]
+    # entry (i, j) of trial t of a shard is its draw (i * n + j) * size + t
+    mats = np.concatenate([
+        dist.sample_array(generator(seed, shard=i), n * n * size)
+        .reshape(n, n, size).transpose(2, 0, 1)
+        for i, size in enumerate(sizes)
+    ])
+    assert _digest(mats.astype("<i8").tobytes()) == GOLDEN_SHARD_LAYOUT
+    a = mats.transpose(1, 2, 0).astype(np.int64)
+    dets = (a[0, 0] * (a[1, 1] * a[2, 2] - a[1, 2] * a[2, 1])
+            - a[0, 1] * (a[1, 0] * a[2, 2] - a[1, 2] * a[2, 0])
+            + a[0, 2] * (a[1, 0] * a[2, 1] - a[1, 1] * a[2, 0]))
+    assert mc_singularity(n, dist, trials, seed).hits == int(np.count_nonzero(dets == 0))
 
 
 @pytest.mark.parametrize("threads", ["1", "2", "8"])
 def test_golden_estimate_stdout(capsys, threads):
-    # 70000 trials span three shards
+    # 70000 trials of 9 entries span two shards
     assert main(GOLDEN_ESTIMATE_ARGV + ["--threads", threads]) == 0
     assert _digest(capsys.readouterr().out.encode()) == GOLDEN_ESTIMATE
 
@@ -363,7 +347,7 @@ def test_golden_cli_stdout(capsys, name):
 
 @pytest.mark.parametrize("threads", [None, "1", "2", "8"])
 def test_golden_smallball_stdout_across_threads(capsys, threads):
-    # 70000 trials span three shards; no flag takes the usable CPU count
+    # 70000 trials of 12 entries span two shards; no flag takes the usable CPU count
     extra = [] if threads is None else ["--threads", threads]
     assert main(GOLDEN_SMALLBALL_SHARDS_ARGV + extra) == 0
     assert _digest(capsys.readouterr().out.encode()) == GOLDEN_SMALLBALL_SHARDS

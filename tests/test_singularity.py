@@ -1,3 +1,5 @@
+import sys
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -17,9 +19,9 @@ from intmat.linalg import (
 )
 from intmat.sampling import EntryDistribution, Seed
 from intmat.singularity import (
-    MAX_SHARDS,
     MAX_THREADS,
-    SHARD_TRIALS,
+    MAX_TRIALS,
+    SHARD_ENTRIES,
     EstimateReport,
     _count_singular,
     exact_singular_fraction,
@@ -31,7 +33,12 @@ from intmat.singularity import (
     wilson_interval,
 )
 
-from oracles import cofactor_det, enumerate_singular_fraction, sylvester_hadamard
+from oracles import (
+    cofactor_det,
+    enumerate_singular_fraction,
+    philox_zero_count,
+    sylvester_hadamard,
+)
 
 
 def test_exact_fraction_n1():
@@ -139,9 +146,11 @@ def test_bounds_sandwich_exact_fraction():
 
 
 def test_mc_scalar_case():
-    # a 1x1 matrix is singular iff its entry is 0, mass 1/3
-    r = mc_singularity(1, EntryDistribution.uniform_symmetric(1), 100_000, Seed(8))
-    assert r.ci_low <= 1 / 3 <= r.ci_high
+    # a 1x1 matrix is singular iff its entry is 0; 1,100,000 trials are two
+    # shards of 2**19 and a partial third, each counted off Philox directly
+    trials = 1_100_000
+    r = mc_singularity(1, EntryDistribution.uniform_symmetric(1), trials, Seed(8))
+    assert r.hits == philox_zero_count((8, 0), 1, trials, 2**19)
 
 
 def test_mc_matches_exact_within_999_ci():
@@ -173,26 +182,79 @@ def test_mc_deterministic_across_threads():
 
 
 def test_map_shards_sums_shard_sizes_in_order():
+    # a shard holds SHARD_ENTRIES entries of whole trials, or one larger trial
+    for entries, per in [(1, 2**19), (36, 14_563), (100, 5_242), (2**20, 1)]:
+        rest = (per + 1) // 2  # a partial last shard unless a shard is one trial
+        trials = 2 * per + rest
+        seen = []
+        total = map_shards(lambda i, size: seen.append((i, size)) or size, trials, entries, 1)
+        assert total == trials
+        assert seen == [(0, per), (1, per), (2, rest)]
+        assert map_shards(lambda i, size: i, trials, entries, 2) == 0 + 1 + 2
+
+
+def test_map_shards_has_no_shard_cap():
+    trials = 2**16 + 5  # one trial per shard
+    assert map_shards(lambda i, size: size, trials, 2**20, 2) == trials
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3, 7])
+def test_map_shards_runs_each_shard_once_for_any_thread_count(threads):
     seen = []
-    trials = 2 * SHARD_TRIALS + 5
-    assert map_shards(lambda i, size: seen.append((i, size)) or size, trials, 1) == trials
-    assert seen == [(0, SHARD_TRIALS), (1, SHARD_TRIALS), (2, 5)]
-    assert map_shards(lambda i, size: i, trials, 2) == 0 + 1 + 2
+
+    def count_shard(i, size):
+        seen.append((i, size))
+        return (i + 1) ** 3 * size
+
+    # workers switch every microsecond, so a shard index handed out twice or
+    # skipped would show; 11 shards of 14,563 trials (36 entries each) and a
+    # partial last one, then 5,000 shards of one trial
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        partial_last = [(i, 14_563) for i in range(11)] + [(11, 1_000)]
+        for trials, entries, want in [
+            (11 * (SHARD_ENTRIES // 36) + 1_000, 36, partial_last),
+            (5_000, 2**20, [(i, 1) for i in range(5_000)]),
+        ]:
+            seen.clear()
+            total = map_shards(count_shard, trials, entries, threads)
+            assert sorted(seen) == want
+            assert total == sum((i + 1) ** 3 * size for i, size in want)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("threads", [1, 2, 7])
+def test_map_shards_stops_handing_out_shards_after_one_raises(threads):
+    calls = []
+
+    def count_shard(i, size):
+        calls.append(i)
+        if i == 0:
+            raise MemoryError("shard 0")
+        time.sleep(0.001)
+        return size
+
+    with pytest.raises(MemoryError, match="shard 0"):
+        map_shards(count_shard, 5_000, 2**20, threads)  # 5,000 shards of one trial
+    assert len(calls) < 100
 
 
 def test_map_shards_caps_shards_and_threads_before_any_work():
     def count_shard(shard, size):
         raise AssertionError("no shard may run when a cap is exceeded")
 
-    cap = MAX_SHARDS * SHARD_TRIALS
+    cap = MAX_TRIALS
     assert cap == 2**31
-    for trials in (cap + 1, 10**23):
-        with pytest.raises(DomainError, match=f"trials must be <= {cap}"):
-            map_shards(count_shard, trials, 2)
+    for entries in (1, 64, 2**20):
+        for trials in (cap + 1, 10**23):
+            with pytest.raises(DomainError, match=f"trials must be <= {cap}"):
+                map_shards(count_shard, trials, entries, 2)
     with pytest.raises(DomainError, match=f"threads must be <= {MAX_THREADS}"):
-        map_shards(count_shard, 10, MAX_THREADS + 1)
+        map_shards(count_shard, 10, 1, MAX_THREADS + 1)
     with pytest.raises(DomainError, match="threads must be >= 1"):
-        map_shards(count_shard, 10, 0)
+        map_shards(count_shard, 10, 1, 0)
 
 
 def test_mc_custom_distribution():
@@ -388,7 +450,7 @@ def test_residue_pass_confirms_only_the_zero_residues(monkeypatch):
     # uniform (8, 16): the mod-p filter sees the zero residues (the singular
     # matrices and about 4 in 10**5 others), not the batch
     rng = np.random.default_rng(900)
-    mats = rng.integers(-16, 17, size=(SHARD_TRIALS, 8, 8)).astype(np.int16)
+    mats = rng.integers(-16, 17, size=(1 << 15, 8, 8)).astype(np.int16)
     want = int(np.count_nonzero(det_batch(mats) == 0))
     zero = det_residues(mats) == 0
     received = record_filter_input(monkeypatch)

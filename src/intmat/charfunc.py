@@ -19,16 +19,11 @@ from .singularity import EstimateReport, map_shards
 # Near-integer arguments switch to the continuity value F = 1.
 _SIN_CUTOFF = 2.0**-40
 
-# Proof constant for the tail branch: F(y) <= C1/(m*y) on [1/m, 1/2].
-C1 = 1.0 / math.pi
-
-# Frozen derived constants; see derive_gaussian_coefficient / derive_eta.
-# C2: largest c with F(y, m) <= 1 - c*(m*y)^2 on (0, min(1/m, 1/2)],
-# m <= 64, floored at 3 significant digits; the scan minimum is exactly
-# 4/5, attained at m = 2, y = 1/2 where F = 1/5. ETA: largest
-# eta <= min(ln pi, C2) keeping F(y) <= G(m*y) on [0, 1/2] for m <= 64;
-# the C2 cap binds.
-C2 = 0.8
+# G's decay rate, frozen: the largest eta <= min(ln pi, c2) keeping
+# F(y) <= G(m*y) on [0, 1/2] for m <= 64, floored at 3 significant digits,
+# where c2 = 4/5 is the quadratic-decay constant of F near the origin; the
+# c2 cap binds. tests/test_charfunc.py::test_frozen_constants_match_derivation
+# re-derives it.
 ETA = 0.8
 
 # Rows per projection in `small_ball_probe`. On a whole 2**19-entry shard
@@ -215,50 +210,3 @@ def small_ball_probe(
         esseen_integral=esseen_integral(x, m, epsilon),
         lcd_bound=bound,
     )
-
-
-def _floor_sig(v: float, digits: int = 3) -> float:
-    if v <= 0 or not math.isfinite(v):
-        raise DomainError("expected a positive finite value")
-    shift = digits - 1 - math.floor(math.log10(v))
-    return math.floor(v * 10**shift) / 10**shift
-
-
-def derive_gaussian_coefficient(m_max: int = 64, samples: int = 4000) -> float:
-    """Scan for the quadratic-decay constant of F near the origin.
-
-    Minimizes (1 - F(y, m)) / (m*y)^2 over y in (0, min(1/m, 1/2)] for
-    every m <= m_max and floors the minimum at 3 significant digits, so
-    the frozen value satisfies F <= 1 - c*(m*y)^2 <= exp(-c*(m*y)^2) on
-    the whole scanned range. The cap at 1/2 matters only for m = 1,
-    where y = 1 is an integer point with F = 1 by periodicity and the
-    envelope is only ever applied below 1/2.
-    """
-    best = math.inf
-    for m in range(1, m_max + 1):
-        hi = min(1.0 / m, 0.5)
-        y = np.linspace(1e-6 / m, hi, samples)
-        ratio = (1.0 - f_grid(y, m)) / (m * y) ** 2
-        best = min(best, float(ratio.min()))
-    return _floor_sig(best)
-
-
-def derive_eta(m_max: int = 64, samples: int = 4000) -> float:
-    """Largest eta <= min(ln pi, c2) with F(y) <= G(m*y) on [0, 1/2], G's
-    envelope taken at eta and c2 from `derive_gaussian_coefficient` over
-    the same scan.
-
-    On m*y <= 1 the constraint is eta <= -ln F / (m*y)^2; on m*y >= 1 it
-    is eta <= -ln(F*m*y). The scan minimum is floored at 3 significant
-    digits.
-    """
-    eta = min(math.log(math.pi), derive_gaussian_coefficient(m_max, samples))
-    for m in range(1, m_max + 1):
-        y = np.linspace(1e-6, 0.5, samples)
-        f = f_grid(y, m)
-        my = m * y
-        with np.errstate(divide="ignore"):
-            gauss = np.where((my <= 1.0) & (f > 0), -np.log(f) / my**2, np.inf)
-            tail = np.where((my >= 1.0) & (f > 0), -np.log(f * my), np.inf)
-        eta = min(eta, float(gauss.min()), float(tail.min()))
-    return _floor_sig(eta)

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success (including negative verdicts), 1 domain/validation
 errors, bad usage and arithmetic overflow, 2 budget or generation failures
-and running out of memory. A failure prints one `intmat:` line on stderr.
+and running out of memory, 130 an interrupt (SIGINT). A failure prints one
+`intmat:` line on stderr.
 
 Machine-readable outputs (json/csv) are byte-identical for identical
 argv + seed regardless of thread count, so they carry neither wall times
@@ -463,6 +464,9 @@ def main(argv=None) -> int:
     except MemoryError:
         sys.stderr.write("intmat: out of memory\n")
         return 2
+    except KeyboardInterrupt:
+        sys.stderr.write("intmat: interrupted\n")
+        return 130
     except (OSError, KeyError, ValueError, OverflowError) as exc:
         sys.stderr.write(f"intmat: {exc}\n")
         return 1

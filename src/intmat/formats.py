@@ -13,6 +13,7 @@ of significant digits (RealVector.decimals).
 from __future__ import annotations
 
 import os
+import stat
 
 from .errors import DimensionError
 from .geometry import RealVector
@@ -47,8 +48,25 @@ def read_matrix(path: str | os.PathLike) -> IntMatrix:
 
 
 def write_matrix(m: IntMatrix, path: str | os.PathLike) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(format_matrix(m))
+    """Write m to path. A new path or a regular file ends up holding the
+    whole matrix or its old bytes: the text goes to a temporary file beside
+    it, which then replaces it (rename(2) is atomic), and on any error the
+    temporary file is removed. Any other path (a symlink such as
+    /dev/stdout, a device, a pipe) is written in place."""
+    text = format_matrix(m)
+    if os.path.lexists(path) and not stat.S_ISREG(os.lstat(path).st_mode):
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write(text)
+        return
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    fh = open(tmp, "x", encoding="ascii")
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def parse_vector(text: str) -> RealVector:
@@ -74,8 +92,3 @@ def format_vector(v: RealVector, digits: int = 36) -> str:
 def read_vector(path: str | os.PathLike) -> RealVector:
     with open(path, "r", encoding="ascii") as fh:
         return parse_vector(fh.read())
-
-
-def write_vector(v: RealVector, path: str | os.PathLike, digits: int = 36) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(format_vector(v, digits))

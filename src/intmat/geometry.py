@@ -1,10 +1,10 @@
-"""Real-vector diagnostics in exact binary arithmetic: compressibility, the
-least-common-denominator (LCD) scan, spread and spectral-norm probes.
+"""Real-vector diagnostics in exact binary arithmetic: normal vectors,
+compressibility and the least-common-denominator (LCD) scan.
 
 A RealVector holds integer mantissas at one shared binary exponent, and
 each entry has at most PRECISION = 128 significant bits: an integer or a
 decimal is rounded to that once, half to even, and a float is exact.
-Compressibility, spread, the unit-norm check and every LCD witness compare
+Compressibility, the unit-norm check and every LCD witness compare
 squares of these values exactly, in integers. The LCD scan evaluates its
 whole grid in float64 first and decides a grid point there only when the
 residual clears the bound by a certified rounding margin; every point
@@ -16,8 +16,7 @@ one fixed sequence of PRECISION-bit steps: each product rounded, half to
 even; sums taken exactly and rounded once; correctly rounded square roots
 and quotients; a float64 rounded from the 128-bit value. The test suite's
 oracle runs the same steps in an arbitrary-precision float library at 128
-bits, and the bytes must match. The spectral-norm probe, whose contract is
-only 1e-6 accuracy, runs in float64.
+bits, and the bytes must match.
 
 Decimal text is read by rounding the exact value of a literal once
 (RealVector.from_decimals) and written by truncating an entry's decimal
@@ -290,13 +289,6 @@ class LcdParams:
         if not 0 < self.beta < 1:
             raise DomainError("beta must lie in (0, 1)")
 
-    @classmethod
-    def defaults(cls, m: int) -> "LcdParams":
-        """The working constants: alpha = 1/50, beta = 1/sqrt(m)."""
-        if m < 2:
-            raise DomainError("default beta = 1/sqrt(m) needs m >= 2")
-        return cls(alpha=1.0 / 50.0, beta=1.0 / math.sqrt(m))
-
     def sparsity_count(self, n: int) -> int:
         # floor(alpha*n) computed exactly on the binary value of alpha
         return math.floor(Fraction(self.alpha) * n)
@@ -487,36 +479,6 @@ def lcd_scan(x: RealVector, p: LcdParams, d_max: float, grid_step: float) -> Lcd
             if gap[i] < -margin[i] or lcd_witness(x, dj, p):
                 return LcdScanResult(lcd_upper=dj, certificate=_lcd_certificate(x, dj, s))
     return LcdScanResult(lcd_upper=math.inf, certificate=None)
-
-
-def spread_check(x: RealVector, alpha: float, gamma: float) -> bool:
-    """Test ||x|_J||_2^2 >= ||x|_J||_inf^2 + gamma^2 on the small-coordinate
-    set J = {i: |x_i| <= 1/sqrt(alpha*n - 1)}.
-
-    The magnitude |x_i| is used for membership; a one-sided comparison
-    would make J, and the inequality, sign-dependent. Both are decided
-    exactly on the squares: i is in J when x_i**2 * (alpha*n - 1) <= 1.
-    """
-    n = len(x)
-    an = Fraction(alpha) * n
-    if an <= 1:
-        raise DomainError("alpha * n must exceed 1")
-    scale = _exact(1, 2 * x.exponent)
-    limit = 1 / ((an - 1) * scale)
-    small = [q for q in (m * m for m in x.mantissas) if q <= limit]
-    if not small:
-        return False
-    return (sum(small) - max(small)) * scale >= Fraction(gamma) ** 2
-
-
-def spectral_norm(r: IntMatrix, scale_m: int) -> float:
-    """Largest singular value of r/scale_m (LAPACK SVD, float64)."""
-    if scale_m < 1:
-        raise DomainError("scale_m must be >= 1")
-    a = r.to_numpy().astype(np.float64) / scale_m
-    if not a.any():
-        return 0.0
-    return float(np.linalg.norm(a, 2))
 
 
 def random_unit_vector(n: int, seed: Seed) -> RealVector:

@@ -1,6 +1,6 @@
-"""Exact integer linear algebra: determinant, rank, kernel.
+"""Exact integer linear algebra: determinant and kernel.
 
-Everything here is exact. Determinant, rank and the kernel fallback share
+Everything here is exact. The determinant and the kernel fallback share
 one fraction-free (Bareiss) elimination on Python integers, `_echelon`, so
 there is no rounding anywhere and no rational blow-up during the forward
 pass.
@@ -99,29 +99,14 @@ class IntMatrix:
         flat = tuple(int(v) for r in rows for v in r)
         return cls(len(rows), ncols, flat)
 
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
-
     def at(self, i: int, j: int) -> int:
         return self.entries[i * self.cols + j]
 
     def row(self, i: int) -> tuple[int, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
-    def column(self, j: int) -> tuple[int, ...]:
-        return self.entries[j :: self.cols][: self.rows]
-
     def to_lists(self) -> list[list[int]]:
         return [list(self.row(i)) for i in range(self.rows)]
-
-    def to_numpy(self) -> np.ndarray:
-        """int64 view of the matrix; raises if any entry does not fit."""
-        arr = np.array(self.to_lists(), dtype=object)
-        out = arr.astype(np.int64)
-        if not (out == arr).all():
-            raise OverflowError("entries do not fit in int64")
-        return out
 
     def submatrix_columns(self, cols) -> "IntMatrix":
         cols = list(cols)
@@ -147,16 +132,10 @@ def det_mod(m: IntMatrix, p: int) -> int:
     return det(m) % p
 
 
-def is_singular(m: IntMatrix) -> bool:
-    """True iff det(m) = 0, by the exact determinant (a mod-p residue, which
-    could only prove nonsingularity, costs several times as much)."""
-    return det(m) == 0
-
-
 def _echelon(a: list[list[int]]) -> tuple[int, list[tuple[int, int]]]:
     """Bareiss's fraction-free elimination (Math. Comp. 22, 1968) of integer
-    rows a, in place, to row echelon form: the one loop behind `det`, `rank`
-    and the `kernel_basis` fallback. Returns (sign, pivots): sign is
+    rows a, in place, to row echelon form: the one loop behind `det` and the
+    `kernel_basis` fallback. Returns (sign, pivots): sign is
     (-1)**(row swaps), pivots the (row, col) pivot positions in column
     order. Each update divides by the previous pivot exactly, so every entry
     stays a minor of a; rows past the rank end up zero, and the last entry of
@@ -187,12 +166,6 @@ def _echelon(a: list[list[int]]) -> tuple[int, list[tuple[int, int]]]:
         if p == nrows:
             break
     return sign, pivots
-
-
-def rank(m: IntMatrix) -> int:
-    """Exact rank over the rationals."""
-    _, pivots = _echelon(m.to_lists())
-    return len(pivots)
 
 
 def _canonical(x: list[int]) -> tuple[int, ...]:

@@ -1,6 +1,6 @@
 """MDS matrices over integer alphabets: exact verification and
-rejection-sampling generation, with the pigeonhole and Schwartz-Zippel
-bounds."""
+rejection-sampling generation, with the Schwartz-Zippel bound on the
+alphabet."""
 
 from __future__ import annotations
 
@@ -166,17 +166,3 @@ def default_generation_m(k: int, n: int) -> int:
     if k > n or k < 1:
         raise DimensionError("need 1 <= k <= n")
     return k * math.comb(n, k)
-
-
-def pigeonhole_min_alphabet(k: int, n: int) -> int:
-    """ceil(sqrt(n/k)): the smallest alphabet size not excluded by the
-    two-equal-column-prefixes pigeonhole argument. Needs k >= 2."""
-    if k < 2:
-        raise DomainError("the argument uses the first two rows, so k >= 2")
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    s = math.isqrt((n + k - 1) // k)
-    while s * s * k < n:
-        s += 1
-    return max(s, 1)
-

@@ -1,4 +1,4 @@
-"""Seeded, reproducible sampling of integer entries, vectors and matrices.
+"""Seeded, reproducible sampling of integer entries.
 
 The generator is counter-based (Philox4x64): the key carries the 64-bit
 seed value and 64-bit stream index, and parallel Monte Carlo shards offset
@@ -30,7 +30,6 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError
-from .linalg import IntMatrix
 
 STREAM_VERSION = 4
 _DRAW_BATCH = 1 << 20  # most entries of one trial, so of one shard's draw
@@ -118,13 +117,6 @@ class EntryDistribution:
             pmf=tuple(Fraction(p) for p in pmf),
         )
 
-    @property
-    def max_probability(self) -> Fraction:
-        """Largest point mass of the law (the anti-concentration proxy)."""
-        if self.kind == "uniform_symmetric":
-            return Fraction(1, 2 * self.m + 1)
-        return max(self.pmf)
-
     def _thresholds(self) -> np.ndarray:
         # cumulative pmf scaled to a 2**64 grid; per-draw bias <= 2**-64.
         # Once the sum reaches 1 (zero-mass points at the end) the bound is
@@ -179,39 +171,3 @@ def _decode_table(dist: EntryDistribution):
     hi = np.searchsorted(thresholds, first | np.uint64((1 << 48) - 1), side="right")
     mixed = lo != hi
     return thresholds, support, support[lo], mixed if mixed.any() else None
-
-
-def sample_matrix(n: int, k: int, dist: EntryDistribution, seed: Seed) -> IntMatrix:
-    """n x k matrix with i.i.d. entries from dist, reproducible from seed."""
-    if n < 1 or k < 1:
-        raise DomainError("matrix dimensions must be >= 1")
-    flat = dist.sample_array(generator(seed), n * k)
-    return IntMatrix(n, k, tuple(int(v) for v in flat))
-
-
-def sample_vector(n: int, dist: EntryDistribution, seed: Seed) -> IntMatrix:
-    """n x 1 vector of i.i.d. entries from dist."""
-    return sample_matrix(n, 1, dist, seed)
-
-
-def vempala_sum_distribution(mu, m: int) -> EntryDistribution:
-    """Law of the sum of m independent copies of the sparse sign law.
-
-    The base law puts mass 1-mu on 0 and mu/2 on each of -1, +1; the sum
-    is supported on {-m, ..., m} with an exact rational pmf.
-    """
-    mu = Fraction(mu)
-    if not 0 < mu < 1:
-        raise DomainError("mu must lie strictly between 0 and 1")
-    if m < 1:
-        raise DomainError("m must be >= 1")
-    base = {-1: mu / 2, 0: 1 - mu, 1: mu / 2}
-    acc = {0: Fraction(1)}
-    for _ in range(m):
-        nxt: dict[int, Fraction] = {}
-        for v, p in acc.items():
-            for dv, dp in base.items():
-                nxt[v + dv] = nxt.get(v + dv, Fraction(0)) + p * dp
-        acc = nxt
-    support = tuple(range(-m, m + 1))
-    return EntryDistribution.custom(support, tuple(acc[s] for s in support))

@@ -115,6 +115,18 @@ def matvec(m, v):
     return tuple(sum(m.at(i, j) * e for j, e in enumerate(v)) for i in range(m.rows))
 
 
+def identity(n):
+    """The n x n identity IntMatrix."""
+    from intmat.linalg import IntMatrix
+
+    return IntMatrix(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
+
+
+def column(m, j):
+    """Column j of an IntMatrix, as a tuple."""
+    return m.entries[j :: m.cols][: m.rows]
+
+
 def sylvester_hadamard(n):
     """The n x n Sylvester-Hadamard matrix (n a power of two) as int64: the
     largest |det| of all +-1 matrices, n**(n/2)."""
@@ -146,17 +158,6 @@ def brute_sparse_residual(values, s):
         rest = [values[i] for i in range(n) if i not in support]
         best = min(best, math.sqrt(sum(v * v for v in rest)))
     return best
-
-
-def top_singular_value_2x2(rows, scale):
-    """Closed-form largest singular value of a scaled 2x2 matrix."""
-    a, b = rows[0][0] / scale, rows[0][1] / scale
-    c, d = rows[1][0] / scale, rows[1][1] / scale
-    # eigenvalues of R^T R via the quadratic formula
-    tr = a * a + b * b + c * c + d * d
-    det = (a * d - b * c) ** 2
-    disc = math.sqrt(max(tr * tr - 4 * det, 0.0))
-    return math.sqrt((tr + disc) / 2)
 
 
 def fractional_part(y):

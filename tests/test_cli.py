@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import intmat
-from intmat import charfunc, cli
+from intmat import charfunc, cli, singularity
 from intmat.cli import main
 from intmat.errors import DomainError
 from intmat.formats import read_matrix, write_matrix
@@ -20,7 +20,7 @@ from intmat.geometry import normal_vector
 from intmat.linalg import IntMatrix
 from intmat.mds import is_mds
 
-from oracles import brute_is_mds, mp_entries, mp_format
+from oracles import brute_is_mds, identity, mp_entries, mp_format
 
 
 def run(capsys, argv):
@@ -172,7 +172,7 @@ def test_mds_verify_over_minor_budget_exit_2(tmp_path, capsys):
 
 def test_mds_verify_19x19_identity_within_budget(tmp_path, capsys):
     path = tmp_path / "square.txt"
-    write_matrix(IntMatrix.identity(19), path)
+    write_matrix(identity(19), path)
     code, out, _ = run(capsys, ["mds", "verify", "--input", str(path), "--json"])
     assert code == 0
     payload = json.loads(out)
@@ -543,6 +543,36 @@ def test_memory_and_overflow_errors_print_one_line(capsys, monkeypatch, exc, cod
     assert rc == code and out == ""
     assert err.startswith("intmat: ") and err.count("\n") == 1
     assert err == ("intmat: out of memory\n" if code == 2 else "intmat: math range error\n")
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_interrupt_prints_one_line_and_exits_130(capsys, monkeypatch, threads):
+    # SIGINT raises KeyboardInterrupt in the main thread; from a worker it
+    # reaches the main thread through map_shards' futures
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(singularity, "_singular_count", interrupted)
+    argv = ["estimate", "--n", "3", "--m", "1", "--trials", "200000", "--seed", "1",
+            "--threads", threads, "--json"]
+    try:
+        result = run(capsys, argv)
+    except KeyboardInterrupt:
+        pytest.fail("main let KeyboardInterrupt through")
+    assert result == (130, "", "intmat: interrupted\n")
+
+
+def test_broken_pipe_prints_one_line_and_exits_1():
+    # the reader closes stdout after the first line
+    env = dict(os.environ, PYTHONPATH=str(Path(intmat.__file__).parents[1]))
+    argv = ["charfunc", "--m", "4", "--grid", "1000000", "--csv"]
+    with subprocess.Popen([sys.executable, "-m", "intmat.cli", *argv], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"y,F,G_bound\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+    assert err == b"intmat: [Errno 32] Broken pipe\n"
 
 
 def test_missing_file_exit_1(capsys):

@@ -1,3 +1,5 @@
+import os
+import resource
 import time
 from decimal import Decimal
 from fractions import Fraction
@@ -15,7 +17,6 @@ from intmat.formats import (
     read_matrix,
     read_vector,
     write_matrix,
-    write_vector,
 )
 from intmat.geometry import RealVector, normalize, sparse_residual
 from intmat.linalg import IntMatrix
@@ -38,6 +39,34 @@ def test_matrix_round_trip(tmp_path):
     assert read_matrix(path) == m
 
 
+def test_failed_matrix_write_keeps_the_old_bytes(tmp_path):
+    # past the file-size limit a write fails with EFBIG (Python ignores
+    # SIGXFSZ); the path keeps its old bytes and no temporary file is left
+    path = tmp_path / "m.txt"
+    path.write_bytes(b"old bytes\n")
+    m = IntMatrix(9, 18, tuple(range(10**6, 10**6 + 162)))  # 1,301 bytes of text
+    soft, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
+    resource.setrlimit(resource.RLIMIT_FSIZE, (1024, hard))
+    try:
+        with pytest.raises(OSError):
+            write_matrix(m, path)
+    finally:
+        resource.setrlimit(resource.RLIMIT_FSIZE, (soft, hard))
+    assert path.read_bytes() == b"old bytes\n"
+    assert os.listdir(tmp_path) == ["m.txt"]
+    write_matrix(m, path)
+    assert read_matrix(path) == m and os.listdir(tmp_path) == ["m.txt"]
+
+
+def test_matrix_write_through_a_symlink_keeps_the_link(tmp_path):
+    (tmp_path / "target.txt").write_text("old\n")
+    (tmp_path / "link.txt").symlink_to("target.txt")
+    m = IntMatrix.from_rows([[1, 2], [3, 4]])
+    write_matrix(m, tmp_path / "link.txt")
+    assert (tmp_path / "link.txt").is_symlink()
+    assert read_matrix(tmp_path / "target.txt") == m
+
+
 def test_matrix_format_shape():
     text = format_matrix(IntMatrix.from_rows([[1, 2], [3, 4]]))
     assert text == "2 2\n1 2\n3 4\n"
@@ -53,7 +82,7 @@ def test_matrix_parse_errors():
 def test_vector_round_trip(tmp_path):
     v = parse_vector("3\n0.125\n-3.5\n2\n")
     path = tmp_path / "v.txt"
-    write_vector(v, path)
+    path.write_text(format_vector(v), encoding="ascii")
     back = read_vector(path)
     assert back == v and back.to_floats() == [0.125, -3.5, 2.0]
 

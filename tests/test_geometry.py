@@ -16,11 +16,9 @@ from intmat.geometry import (
     normalize,
     random_unit_vector,
     sparse_residual,
-    spectral_norm,
-    spread_check,
 )
 from intmat.linalg import IntMatrix, kernel_basis
-from intmat.sampling import EntryDistribution, Seed, generator
+from intmat.sampling import Seed
 
 from oracles import (
     brute_sparse_residual,
@@ -31,7 +29,6 @@ from oracles import (
     mp_fraction,
     mp_normalize,
     mp_sparse_residual,
-    top_singular_value_2x2,
 )
 
 
@@ -383,81 +380,6 @@ def test_lcd_scan_validation():
         lcd_scan(x, LcdParams(0.3, 0.1), d_max=1.0, grid_step=2.0)
 
 
-def test_spread_uniform_closed_form():
-    x = RealVector.from_values([0.1] * 100)
-    assert spread_check(x, alpha=0.2, gamma=0.5)
-
-
-def test_spread_e1_fails():
-    e1 = RealVector.from_values([1.0] + [0.0] * 9)
-    assert not spread_check(e1, alpha=0.2, gamma=0.5)
-    with pytest.raises(DomainError):
-        spread_check(e1, alpha=0.05, gamma=0.5)
-
-
-def test_spread_holds_for_incompressible_vectors():
-    # every (alpha, gamma)-incompressible unit vector passes
-    for n in (20, 50):
-        alpha, gamma = 0.2, 0.3
-        check = LcdParams(alpha=alpha, beta=gamma)
-        done = 0
-        i = 0
-        while done < 100:
-            i += 1
-            x = random_unit_vector(n, Seed(7000 + 31 * n + i))
-            if is_compressible(x, check):
-                continue
-            done += 1
-            assert spread_check(x, alpha=alpha, gamma=gamma)
-
-
-def test_spectral_norm_identity_and_ones():
-    assert spectral_norm(IntMatrix.identity(3), 1) == pytest.approx(1.0, abs=1e-9)
-    n = 5
-    ones = IntMatrix.from_rows([[1] * n for _ in range(n)])
-    assert spectral_norm(ones, 1) == pytest.approx(n, rel=1e-9)
-
-
-def test_spectral_norm_zero_matrix():
-    z = IntMatrix.from_rows([[0, 0], [0, 0]])
-    assert spectral_norm(z, 1) == 0.0
-
-
-def test_spectral_norm_2x2_quadratic_oracle():
-    rng = np.random.default_rng(38)
-    for _ in range(200):
-        rows = rng.integers(-9, 10, size=(2, 2)).tolist()
-        want = top_singular_value_2x2(rows, 3)
-        got = spectral_norm(IntMatrix.from_rows(rows), 3)
-        assert got == pytest.approx(want, abs=2e-6, rel=2e-6)
-
-
-def test_spectral_norm_flat_start_degenerate():
-    # gram of this matrix annihilates the all-ones start vector
-    m = IntMatrix.from_rows([[1, -1], [-1, 1]])
-    assert spectral_norm(m, 1) == pytest.approx(2.0, rel=1e-9)
-
-
-def test_spectral_tail_probe():
-    # tail frequencies of ||R/m|| >= lambda*sqrt(n) over 10^4 samples:
-    # non-increasing on the lambda grid and zero at lambda = 3
-    n = k = 20
-    dist = EntryDistribution.uniform_symmetric(8)
-    gen = generator(Seed(777))
-    lams = (1.5, 2.0, 2.5, 3.0)
-    counts = dict.fromkeys(lams, 0)
-    for _ in range(10_000):
-        flat = dist.sample_array(gen, n * k)
-        r = IntMatrix(n, k, tuple(int(v) for v in flat))
-        s = spectral_norm(r, 8)
-        for lam in lams:
-            if s >= lam * math.sqrt(n):
-                counts[lam] += 1
-    freqs = [counts[lam] for lam in lams]
-    assert all(a >= b for a, b in zip(freqs, freqs[1:]))
-    assert freqs[-1] == 0
-
-
 def test_real_vector_validation():
     with pytest.raises(DomainError):
         RealVector.from_values([1.0, math.inf])
@@ -466,10 +388,3 @@ def test_real_vector_validation():
     with pytest.raises(DomainError):
         LcdParams(alpha=0.0, beta=0.5)
 
-
-def test_lcd_params_defaults():
-    p = LcdParams.defaults(16)
-    assert p.alpha == pytest.approx(1 / 50)
-    assert p.beta == pytest.approx(0.25)
-    assert p.sparsity_count(100) == 2
-    assert p.sparsity_count(40) == 0

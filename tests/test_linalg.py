@@ -14,15 +14,14 @@ from intmat.linalg import (
     det_batch,
     det_residues,
     hadamard_below,
-    is_singular,
     kernel_basis,
     maximal_minors,
     nonsingular_mod_p,
-    rank,
 )
 
 from oracles import (
     cofactor_det,
+    identity,
     kernel_basis_oracle,
     matvec,
     rref_kernel,
@@ -36,7 +35,7 @@ def random_matrix(rng, rows, cols, lo, hi):
 
 
 def test_det_identity():
-    assert det(IntMatrix.identity(3)) == 1
+    assert det(identity(3)) == 1
 
 
 def test_det_2x2():
@@ -87,45 +86,12 @@ def test_det_big_entries_stay_exact():
     assert det(m) == big * big - 1
 
 
-def test_rank_trivial_cases():
-    assert rank(IntMatrix.from_rows([[1, 2], [2, 4]])) == 1
-    assert rank(IntMatrix.identity(6)) == 6
-
-
-def test_rank_matches_rref_oracle():
-    rng = np.random.default_rng(13)
-    for _ in range(200):
-        rows = int(rng.integers(1, 6))
-        cols = int(rng.integers(1, 7))
-        m = random_matrix(rng, rows, cols, -2, 2)
-        assert rank(m) == rref_rank(m.to_lists())
-
-
-def test_is_singular_trivial():
-    assert is_singular(IntMatrix.from_rows([[1, 1], [1, 1]]))
-    assert not is_singular(IntMatrix.identity(4))
-    with pytest.raises(DimensionError):
-        is_singular(IntMatrix.from_rows([[1, 2, 3]]))
-
-
-def test_is_singular_all_81_matrices_n2_m1():
-    vals = [-1, 0, 1]
-    for a in vals:
-        for b in vals:
-            for c in vals:
-                for d in vals:
-                    m = IntMatrix.from_rows([[a, b], [c, d]])
-                    assert is_singular(m) == (cofactor_det([[a, b], [c, d]]) == 0)
-
-
 def test_singular_rank_det_consistency():
     rng = np.random.default_rng(14)
     for _ in range(300):
         n = int(rng.integers(1, 5))
         m = random_matrix(rng, n, n, -2, 2)
-        d = det(m)
-        r = rank(m)
-        assert is_singular(m) == (d == 0) == (r < n)
+        assert (det(m) == 0) == (rref_rank(m.to_lists()) < n)
 
 
 def test_kernel_rank1_case():
@@ -135,7 +101,7 @@ def test_kernel_rank1_case():
 
 
 def test_kernel_identity_empty():
-    assert kernel_basis(IntMatrix.identity(5)) == []
+    assert kernel_basis(identity(5)) == []
 
 
 def test_kernel_exactness_and_dimension():
@@ -145,7 +111,7 @@ def test_kernel_exactness_and_dimension():
         cols = int(rng.integers(1, 7))
         m = random_matrix(rng, rows, cols, -3, 3)
         basis = kernel_basis(m)
-        assert len(basis) + rank(m) == cols
+        assert len(basis) + rref_rank(m.to_lists()) == cols
         for v in basis:
             assert all(e == 0 for e in matvec(m, v))
         # kernel dimension agrees with the RREF oracle
@@ -157,7 +123,7 @@ def test_kernel_rectangular_full_rank_row():
     found = 0
     while found < 50:
         m = random_matrix(rng, 4, 5, -5, 5)
-        if rank(m) < 4:
+        if rref_rank(m.to_lists()) < 4:
             continue
         found += 1
         basis = kernel_basis(m)

@@ -8,18 +8,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from intmat import mds
-from intmat.errors import BudgetExceededError, DimensionError, DomainError, GenerationError
+from intmat.errors import BudgetExceededError, DimensionError, GenerationError
 from intmat.linalg import _FILTER_PRIME as P, IntMatrix
 from intmat.mds import (
     MINOR_BUDGET,
     default_generation_m,
     generate_mds,
     is_mds,
-    pigeonhole_min_alphabet,
 )
 from intmat.sampling import EntryDistribution, Seed, generator
 
-from oracles import brute_is_mds
+from oracles import brute_is_mds, identity
 
 
 def vandermonde(k, n):
@@ -132,7 +131,7 @@ def test_multiples_of_the_prime_make_every_minor_a_candidate(monkeypatch):
     det = mds.det
     calls = []
     monkeypatch.setattr(mds, "det", lambda sub: calls.append(sub) or det(sub))
-    rows = (P * vandermonde(3, 7).to_numpy().astype(object)).tolist()
+    rows = (P * np.array(vandermonde(3, 7).to_lists(), dtype=object)).tolist()
     assert is_mds(IntMatrix.from_rows(rows)) == mds.MdsVerdict(True, None, comb(7, 3))
     assert len(calls) == comb(7, 3)
     rows[2][6] = rows[2][5]
@@ -199,9 +198,9 @@ def test_near_square_shapes_within_budget_use_scalar_det(monkeypatch):
     monkeypatch.setattr(mds, "det", lambda sub: calls.append(sub) or det(sub))
     monkeypatch.setattr(mds, "maximal_minors", _no_expansion)
     assert comb(19, 9) > MINOR_BUDGET
-    assert is_mds(IntMatrix.identity(19)) == mds.MdsVerdict(True, None, 1)
+    assert is_mds(identity(19)) == mds.MdsVerdict(True, None, 1)
     assert len(calls) == 1
-    singular = IntMatrix(19, 19, IntMatrix.identity(19).entries[:-1] + (0,))
+    singular = IntMatrix(19, 19, identity(19).entries[:-1] + (0,))
     assert is_mds(singular) == mds.MdsVerdict(False, tuple(range(19)), 1)
     assert len(calls) == 2
 
@@ -326,22 +325,6 @@ def test_generate_reproducible():
     a = generate_mds(3, 6, m=8, max_attempts=64, seed=Seed(77))
     b = generate_mds(3, 6, m=8, max_attempts=64, seed=Seed(77))
     assert a.matrix == b.matrix and a.attempts == b.attempts
-
-
-def test_pigeonhole_min_alphabet_values():
-    assert pigeonhole_min_alphabet(2, 200) == 10
-    assert pigeonhole_min_alphabet(4, 4) == 1
-    assert pigeonhole_min_alphabet(2, 9) == 3
-    with pytest.raises(DomainError):
-        pigeonhole_min_alphabet(1, 10)
-
-
-def test_pigeonhole_is_minimal():
-    for k in (2, 3, 5):
-        for n in range(k, 60):
-            s = pigeonhole_min_alphabet(k, n)
-            assert s * s * k >= n
-            assert s == 1 or (s - 1) * (s - 1) * k < n
 
 
 def test_default_generation_m_policy():

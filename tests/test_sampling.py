@@ -16,9 +16,6 @@ from intmat.sampling import (
     Seed,
     generator,
     raw_u64,
-    sample_matrix,
-    sample_vector,
-    vempala_sum_distribution,
 )
 from intmat.singularity import SHARD_ENTRIES, mc_singularity
 
@@ -27,28 +24,28 @@ from oracles import uniform_ints
 
 def test_same_seed_same_matrix():
     dist = EntryDistribution.uniform_symmetric(3)
-    a = sample_matrix(6, 7, dist, Seed(123, 4))
-    b = sample_matrix(6, 7, dist, Seed(123, 4))
-    assert a == b
+    a = dist.sample_array(generator(Seed(123, 4)), 6 * 7)
+    b = dist.sample_array(generator(Seed(123, 4)), 6 * 7)
+    assert np.array_equal(a, b)
 
 
 def test_different_stream_different_matrix():
     dist = EntryDistribution.uniform_symmetric(3)
-    a = sample_matrix(8, 8, dist, Seed(123, 0))
-    b = sample_matrix(8, 8, dist, Seed(123, 1))
-    assert a != b
+    a = dist.sample_array(generator(Seed(123, 0)), 8 * 8)
+    b = dist.sample_array(generator(Seed(123, 1)), 8 * 8)
+    assert not np.array_equal(a, b)
 
 
 def test_entries_within_support():
     dist = EntryDistribution.uniform_symmetric(5)
-    v = sample_vector(1000, dist, Seed(9))
-    assert all(-5 <= e <= 5 for e in v.entries)
+    v = dist.sample_array(generator(Seed(9)), 1000)
+    assert all(-5 <= e <= 5 for e in v.tolist())
 
 
 def test_m_zero_gives_all_zeros():
     dist = EntryDistribution.uniform_symmetric(0)
-    m = sample_matrix(4, 4, dist, Seed(1))
-    assert all(e == 0 for e in m.entries)
+    m = dist.sample_array(generator(Seed(1)), 4 * 4)
+    assert all(e == 0 for e in m.tolist())
 
 
 def test_alphabets_bounded_by_int64():
@@ -164,12 +161,6 @@ def test_uniform_ints_rejection_exactness():
     assert set(np.unique(draws)) == {0, 1, 2, 3, 4}
 
 
-def test_max_probability_uniform():
-    for m in range(0, 6):
-        dist = EntryDistribution.uniform_symmetric(m)
-        assert dist.max_probability == Fraction(1, 2 * m + 1)
-
-
 def test_custom_distribution_validation():
     with pytest.raises(DomainError):
         EntryDistribution.custom([0, 1], [Fraction(1, 2), Fraction(1, 3)])
@@ -179,7 +170,6 @@ def test_custom_distribution_validation():
 
 def test_custom_sampling_frequencies():
     dist = EntryDistribution.custom([-1, 0, 1], [Fraction(1, 4), Fraction(1, 2), Fraction(1, 4)])
-    assert dist.max_probability == Fraction(1, 2)
     draws = dist.sample_array(generator(Seed(31)), 100_000)
     for value, p in zip((-1, 0, 1), (0.25, 0.5, 0.25)):
         count = int((draws == value).sum())
@@ -192,7 +182,11 @@ def _decode_laws():
     rng = np.random.default_rng(33)
     weights = rng.integers(0, 1000, size=900).tolist()
     return [
-        vempala_sum_distribution(Fraction(1, 2), 4),  # thresholds on bucket edges
+        # the sum of four sparse sign laws (mass 1/2 at 0, 1/4 at each of
+        # -1 and +1): thresholds on bucket edges
+        EntryDistribution.custom(
+            range(-4, 5), [Fraction(c, 256) for c in (1, 8, 28, 56, 70, 56, 28, 8, 1)]
+        ),
         # masses of 2**-60 put several thresholds in one bucket; zero masses
         # repeat a threshold, and at the end reach 2**64
         EntryDistribution.custom(
@@ -219,37 +213,6 @@ def test_custom_decode_table_matches_the_cumulative_search(dist):
     got = dist._decode(np.array(words, dtype=np.uint64))
     assert got.dtype == np.int64
     assert got.tolist() == [dist.support[bisect.bisect_right(bounds, w)] for w in words]
-
-
-def test_vempala_m1_pmf():
-    d = vempala_sum_distribution(Fraction(1, 2), 1)
-    assert d.support == (-1, 0, 1)
-    assert d.pmf == (Fraction(1, 4), Fraction(1, 2), Fraction(1, 4))
-
-
-def test_vempala_m2_matches_direct_convolution():
-    mu = Fraction(1, 2)
-    base = {-1: mu / 2, 0: 1 - mu, 1: mu / 2}
-    conv = {}
-    for a, pa in base.items():
-        for b, pb in base.items():
-            conv[a + b] = conv.get(a + b, Fraction(0)) + pa * pb
-    d = vempala_sum_distribution(mu, 2)
-    assert d.pmf == tuple(conv[s] for s in range(-2, 3))
-
-
-def test_vempala_pmf_sums_to_one():
-    for m in range(1, 9):
-        d = vempala_sum_distribution(Fraction(1, 3), m)
-        assert sum(d.pmf, Fraction(0)) == 1
-        assert d.support == tuple(range(-m, m + 1))
-
-
-def test_vempala_domain_errors():
-    with pytest.raises(DomainError):
-        vempala_sum_distribution(Fraction(0), 3)
-    with pytest.raises(DomainError):
-        vempala_sum_distribution(Fraction(1, 2), 0)
 
 
 def test_seed_validation():

@@ -259,9 +259,8 @@ def test_map_shards_caps_shards_and_threads_before_any_work():
 
 def test_mc_custom_distribution():
     # Pr[singular 1x1] = Pr[sum = 0]
-    from intmat.sampling import vempala_sum_distribution
-
-    dist = vempala_sum_distribution(Fraction(1, 2), 2)
+    # the sum of two sparse sign laws (mass 1/2 at 0, 1/4 at each of -1, +1)
+    dist = EntryDistribution.custom(range(-2, 3), [Fraction(c, 16) for c in (1, 4, 6, 4, 1)])
     p0 = float(dist.pmf[2])
     r = mc_singularity(1, dist, 50_000, Seed(3))
     assert r.m is None

@@ -167,6 +167,16 @@ def lcd_regime_bound(epsilon: float, m: int, n: int, p: LcdParams) -> float:
     return epsilon / gamma + (p.alpha * p.beta * m) ** (-p.alpha * n)
 
 
+def check_probe(trials: int, m: int, epsilon: float) -> None:
+    """Refuse a small-ball probe's trials, m or epsilon, in that order."""
+    if trials < 1:
+        raise DomainError("trials must be >= 1")
+    if m < 1:
+        raise DomainError("m must be >= 1")
+    if not 0 < epsilon < math.inf:  # also rejects nan
+        raise DomainError("epsilon must be positive and finite")
+
+
 def small_ball_probe(
     x,
     m: int,
@@ -184,12 +194,7 @@ def small_ball_probe(
     Esseen integral, and the LCD-regime analytic bound when (alpha, beta)
     parameters are supplied.
     """
-    if trials < 1:
-        raise DomainError("trials must be >= 1")
-    if m < 1:
-        raise DomainError("m must be >= 1")
-    if not 0 < epsilon < math.inf:  # also rejects nan, before any draw
-        raise DomainError("epsilon must be positive and finite")
+    check_probe(trials, m, epsilon)
     xs = _direction_floats(x)
     n = xs.size
     dist = EntryDistribution.uniform_symmetric(m)

@@ -22,7 +22,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .charfunc import G_eval, f_grid, small_ball_probe
+from .charfunc import G_eval, check_probe, f_grid, small_ball_probe
 from .errors import BudgetExceededError, DomainError, GenerationError
 from .formats import format_vector, read_matrix, read_vector, write_matrix
 from .geometry import (
@@ -123,7 +123,7 @@ def _human(v) -> str:
 def _resolve_threads(args) -> int:
     """--threads, else INTMAT_THREADS, else the number of CPUs this process
     may run on, at most MAX_THREADS."""
-    threads = getattr(args, "threads", None)
+    threads = args.threads
     if threads is None:
         env = os.environ.get("INTMAT_THREADS")
         if env is not None:
@@ -140,22 +140,19 @@ def _resolve_threads(args) -> int:
 
 
 def _seed_from(args) -> Seed:
-    return Seed(args.seed, getattr(args, "stream", 0) or 0)
+    return Seed(args.seed, args.stream)
 
 
 def _dist_from(args) -> EntryDistribution:
-    spec = getattr(args, "dist", None)
-    if spec:
-        if not spec.startswith("custom:"):
-            raise DomainError("--dist expects custom:<json-file>")
-        with open(spec.removeprefix("custom:"), "r", encoding="ascii") as fh:
-            data = json.load(fh)
-        return EntryDistribution.custom(
-            data["support"], [Fraction(p) for p in data["pmf"]]
-        )
-    if getattr(args, "m", None) is None:
-        raise DomainError("either --m or --dist is required")
-    return EntryDistribution.uniform_symmetric(args.m)
+    if args.dist is None:
+        return EntryDistribution.uniform_symmetric(args.m)
+    if not args.dist.startswith("custom:"):
+        raise DomainError("--dist expects custom:<json-file>")
+    with open(args.dist.removeprefix("custom:"), "r", encoding="ascii") as fh:
+        data = json.load(fh)
+    return EntryDistribution.custom(
+        data["support"], [Fraction(p) for p in data["pmf"]]
+    )
 
 
 def _cmd_estimate(args, out) -> int:
@@ -309,18 +306,17 @@ def _cmd_charfunc(args, out) -> int:
 
 
 def _cmd_smallball(args, out) -> int:
-    if args.m < 1:
-        raise DomainError("m must be >= 1")
     if not 1 <= args.n <= _DRAW_BATCH:
         # one row is drawn whole, so a longer one would pass the draw cap
         raise DomainError(f"n must lie in [1, {_DRAW_BATCH}]")
+    check_probe(args.trials, args.m, args.eps)
+    if (args.alpha is None) != (args.beta is None):
+        raise DomainError("alpha and beta must be given together")
+    params = None if args.alpha is None else LcdParams(alpha=args.alpha, beta=args.beta)
     seed = _seed_from(args)
     threads = _resolve_threads(args)
     # direction comes from a dedicated stream so it is independent of trials
     direction = random_unit_vector(args.n, Seed(seed.value, (seed.stream + 1) % (1 << 64)))
-    params = None
-    if args.alpha is not None and args.beta is not None:
-        params = LcdParams(alpha=args.alpha, beta=args.beta)
     report = small_ball_probe(
         direction, args.m, args.eps, args.trials, seed, lcd_params=params, threads=threads
     )
@@ -356,18 +352,19 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"intmat {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def add_format(p, default="human", csv_ok=True):
+    def add_format(p, csv_ok=True):
         group = p.add_mutually_exclusive_group()
         group.add_argument(
-            "--json", dest="format", action="store_const", const="json", default=default
+            "--json", dest="format", action="store_const", const="json", default="human"
         )
         if csv_ok:
             group.add_argument("--csv", dest="format", action="store_const", const="csv")
 
     p = sub.add_parser("estimate", help="Monte Carlo singularity probability")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int)
-    p.add_argument("--dist", help="custom:<json-file> with support + pmf arrays")
+    law = p.add_mutually_exclusive_group(required=True)
+    law.add_argument("--m", type=int)
+    law.add_argument("--dist", help="custom:<json-file> with support + pmf arrays")
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--stream", type=int, default=0)

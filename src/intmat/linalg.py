@@ -14,17 +14,18 @@ form in integers, scaling the partial solution instead of dividing.
 
 The Monte Carlo hot path (n <= 8) starts with `det_residues`, a
 division-free expansion over column subsets (`leading_minors`) in uint16
-lanes of at most _LANE matrices; `det_batch` runs it in uint64 lanes, and
-exact enumeration stops it one level early for the maximal minors of
-(n-1) x n row stacks. Unsigned wraparound keeps every determinant exact
-modulo 2**w for entries of any size, so a nonzero residue proves the
-matrix nonsingular, and a zero residue proves it singular when Hadamard's
-bound (m * sqrt(n))**n for entries |a| <= m is below 2**w
-(`hadamard_below`). Otherwise only the zero residues, the singular
-matrices and a few in 10**5 others, go on. They, and every batch past
-n = 8, go through `nonsingular_mod_p`, elimination modulo one prime that
-can only prove a matrix nonsingular; the caller confirms the rest with the
-scalar big-integer routine. No Monte Carlo path calls `det_batch`.
+on the whole batch it is given, which the caller bounds (a Monte Carlo
+shard); `det_batch` runs it in uint64, and exact enumeration stops it one
+level early for the maximal minors of (n-1) x n row stacks. Unsigned
+wraparound keeps every determinant exact modulo 2**w for entries of any
+size, so a nonzero residue proves the matrix nonsingular, and a zero
+residue proves it singular when Hadamard's bound (m * sqrt(n))**n for
+entries |a| <= m is below 2**w (`hadamard_below`). Otherwise only the zero
+residues, the singular matrices and a few in 10**5 others, go on. They,
+and every batch past n = 8, go through `nonsingular_mod_p`, elimination
+modulo one prime that can only prove a matrix nonsingular; the caller
+confirms the rest with the scalar big-integer routine. No Monte Carlo path
+calls `det_batch`.
 
 `maximal_minors` gives every k x k minor of one k x n matrix modulo the
 prime _FILTER_PRIME (the MDS check) by the same expansion, one level of
@@ -55,21 +56,13 @@ _FILTER_PRIME = (1 << 29) - 3
 # Largest n that Monte Carlo sends through the residue pass before
 # `nonsingular_mod_p`.
 # The expansion costs n * 2**(n-1) vector multiply-adds and the filter
-# ~n**3/3 lane updates plus a remainder each. On a 2-vCPU Xeon, per matrix
-# of entries in [-3, 3] in lanes of 8,192, the uint16 expansion
+# ~n**3/3 vector updates plus a remainder each. On a 2-vCPU Xeon, per matrix
+# of entries in [-3, 3] in batches of 8,192 (a 2**19-entry shard holds
+# 8,192 at n = 8 and 6,472 at n = 9), the uint16 expansion
 # (`det_residues`) takes 0.4-0.6 us at n = 8, 1.1-1.3 at n = 9 and 2.5-2.8
 # at n = 10, for entries of any size, against the filter's 3.5, 4.6 and
 # 6.2 us.
 _EXPANSION_MAX_N = 8
-
-# Matrices per lane of det_batch, det_residues and nonsingular_mod_p: the
-# widest level at n = 8, 70 vectors of 8,192 lanes, takes 4.4 MiB in int64
-# and 1.1 MiB in uint16, and the filter's int64 copy of a 10 x 10 lane
-# 6.4 MiB; a whole 2**19-entry Monte Carlo shard is 4 MiB in int64 before
-# any level, and at n = 8 it is exactly one lane. Per-call overhead grows
-# below 8,192: the uint16 expansion at n = 8 takes 1.3 us per matrix in
-# lanes of 2,048.
-_LANE = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -422,78 +415,68 @@ def leading_minors(a: np.ndarray, k: int) -> list[np.ndarray]:
     return minors
 
 
-def _lanes(b: int) -> list[slice]:
-    """Equal consecutive slices of range(b), each of at most _LANE matrices."""
-    lanes = -(-b // _LANE)
-    return [slice(b * i // lanes, b * (i + 1) // lanes) for i in range(lanes)]
-
-
-def _lane_dets(mats: np.ndarray, dtype) -> np.ndarray:
+def _wrapped_dets(mats: np.ndarray, dtype) -> np.ndarray:
     """det of each matrix of a (B, n, n) integer batch modulo 2**w, in the
-    unsigned dtype of w bits, by `leading_minors` on equal lanes of at most
-    _LANE matrices, whose levels stay small enough to be reused from cache.
-    One astype per lane reduces int16 and int64 entries alike modulo 2**w
-    into a C-ordered (n, n, lane) copy, which reads whole rows of a Monte
-    Carlo shard, a `.transpose(2, 0, 1)` view of (n, n, B) storage."""
-    b, n, n2 = mats.shape
+    unsigned dtype of w bits, by `leading_minors` on the whole batch. One
+    astype reduces int16 and int64 entries alike modulo 2**w into a
+    C-ordered (n, n, B) copy, which reads whole rows of a Monte Carlo shard,
+    a `.transpose(2, 0, 1)` view of (n, n, B) storage. The caller bounds B:
+    a 2**19-entry shard's widest uint16 level is 1.1 MiB at n = 8, and less
+    at every smaller n."""
+    _, n, n2 = mats.shape
     if n != n2:
         raise DimensionError("batch of square matrices required")
-    out = np.empty(b, dtype=dtype)
-    for lane in _lanes(b):
-        a = mats[lane].transpose(1, 2, 0).astype(dtype, order="C")
-        out[lane] = leading_minors(a, n)[0]
-    return out
+    return leading_minors(mats.transpose(1, 2, 0).astype(dtype, order="C"), n)[0]
 
 
 def det_batch(mats: np.ndarray) -> np.ndarray:
     """Exact determinants of a (B, n, n) integer batch, as int64.
 
-    The expansion of `leading_minors` in uint64 lanes gives det modulo
+    The expansion of `leading_minors` in uint64 gives det modulo
     2**64; read as int64 it is the determinant when Hadamard's bound is
     below 2**63, so the caller must ensure `hadamard_below(n,
     max|entry|, 63)`. n * 2**(n-1) vector multiply-adds in all.
     """
-    return _lane_dets(mats, np.uint64).view(np.int64)
+    return _wrapped_dets(mats, np.uint64).view(np.int64)
 
 
 def det_residues(mats: np.ndarray) -> np.ndarray:
     """det of each matrix of a (B, n, n) integer batch modulo 2**16, as uint16.
 
-    The expansion of `det_batch` in uint16 lanes, exact modulo 2**16 for
+    The expansion of `det_batch` in uint16, exact modulo 2**16 for
     entries of any size. A nonzero residue proves the matrix nonsingular;
     when `hadamard_below(n, max|entry|, 16)` holds, a zero residue proves it
     singular.
     """
-    return _lane_dets(mats, np.uint16)
+    return _wrapped_dets(mats, np.uint16)
 
 
 def nonsingular_mod_p(mats: np.ndarray) -> np.ndarray:
     """True where det ≢ 0 (mod _FILTER_PRIME), which proves the matrix
     nonsingular; False for every singular matrix and about 1 in p others.
 
-    mats is a (B, n, n) integer batch with entries in int64. Each lane of at
-    most _LANE matrices is reduced modulo p once and eliminated without
-    division: a zero pivot takes the first lower row with a nonzero entry in
-    its column added to it (det unchanged), and each step k replaces every
-    lower row_i by piv * row_i - a_ik * row_k, reduced once (det times a
-    power of piv). det is then nonzero modulo p iff every pivot is.
+    mats is a (B, n, n) integer batch with entries in int64. The whole batch
+    is reduced modulo p once, in one int64 (n, n, B) copy, and eliminated
+    without division: a zero pivot takes the first lower row with a nonzero
+    entry in its column added to it (det unchanged), and each step k
+    replaces every lower row_i by piv * row_i - a_ik * row_k, reduced once
+    (det times a power of piv). det is then nonzero modulo p iff every pivot
+    is. The caller bounds B: the copy of a Monte Carlo shard is 4 MiB, or
+    one trial of at most 2**20 entries.
     """
-    b, n, n2 = mats.shape
+    _, n, n2 = mats.shape
     if n != n2:
         raise DimensionError("batch of square matrices required")
     p = _FILTER_PRIME
-    out = np.empty(b, dtype=bool)
-    for lane in _lanes(b):
-        # int64 before the remainder: an int16 batch cannot hold p
-        a = np.array(mats[lane].transpose(1, 2, 0), dtype=np.int64, order="C") % p
-        for k in range(n - 1):
-            zero = np.flatnonzero(a[k, k] == 0)
-            if zero.size:
-                below = k + 1 + np.argmax(a[k + 1 :, k, zero] != 0, axis=0)
-                a[k, k:, zero] = (a[k, k:, zero] + a[below, k:, zero]) % p
-            block = a[k + 1 :, k + 1 :]
-            block *= a[k, k]
-            block -= a[k + 1 :, k, None] * a[k, None, k + 1 :]
-            block %= p
-        out[lane] = a.diagonal().all(axis=1)
-    return out
+    # int64 before the remainder: an int16 batch cannot hold p
+    a = np.array(mats.transpose(1, 2, 0), dtype=np.int64, order="C") % p
+    for k in range(n - 1):
+        zero = np.flatnonzero(a[k, k] == 0)
+        if zero.size:
+            below = k + 1 + np.argmax(a[k + 1 :, k, zero] != 0, axis=0)
+            a[k, k:, zero] = (a[k, k:, zero] + a[below, k:, zero]) % p
+        block = a[k + 1 :, k + 1 :]
+        block *= a[k, k]
+        block -= a[k + 1 :, k, None] * a[k, None, k + 1 :]
+        block %= p
+    return a.diagonal().all(axis=1)

@@ -30,7 +30,7 @@ from .linalg import (
 from .linalg import det_batch  # noqa: F401
 from .sampling import EntryDistribution, Seed, generator
 
-SHARD_ENTRIES = 1 << 19  # per Monte Carlo shard, one draw; at n = 8 one lane of 8,192
+SHARD_ENTRIES = 1 << 19  # per Monte Carlo shard: one draw, decided as one batch
 # Most trials and worker threads in one `map_shards` call.
 MAX_TRIALS = 1 << 31
 MAX_THREADS = 256

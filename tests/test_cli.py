@@ -106,6 +106,16 @@ def test_estimate_requires_distribution(capsys):
     assert code == 1
 
 
+def test_estimate_takes_exactly_one_of_m_and_dist(capsys, tmp_path):
+    law = tmp_path / "law.json"
+    law.write_text('{"support": [-1, 0, 1], "pmf": ["1/4", "1/2", "1/4"]}')
+    base = ["estimate", "--n", "3", "--trials", "10", "--seed", "1"]
+    assert run(capsys, [*base, "--dist", f"custom:{law}"])[0] == 0
+    for flags in (["--m", "7", "--dist", f"custom:{law}"], []):
+        code, out, _ = run(capsys, [*base, *flags])
+        assert code == 1 and out == ""
+
+
 def test_estimate_largest_int64_alphabet(capsys):
     argv = ["estimate", "--n", "2", "--m", str(2**62), "--trials", "10", "--seed", "1", "--json"]
     code, out, _ = run(capsys, argv)
@@ -292,6 +302,23 @@ def test_smallball_non_finite_eps_exit_1_before_sampling(capsys, monkeypatch):
                                       "--trials", "2000000000", "--seed", "1"])
         assert code == 1 and out == ""
         assert err == "intmat: epsilon must be positive and finite\n"
+
+
+@pytest.mark.parametrize("bad, message", [
+    (["--eps", "nan"], "epsilon must be positive and finite"),
+    (["--trials", "0"], "trials must be >= 1"),
+    (["--alpha", "2", "--beta", "0.1"], "alpha must lie in (0, 1)"),
+    (["--alpha", "0.1"], "alpha and beta must be given together"),
+    (["--beta", "0.1"], "alpha and beta must be given together"),
+], ids=["eps-nan", "trials-0", "alpha-2", "alpha-only", "beta-only"])
+def test_smallball_checks_its_inputs_before_drawing_the_direction(capsys, monkeypatch, bad,
+                                                                  message):
+    monkeypatch.setattr(cli, "random_unit_vector", _refuse)
+    argv = ["smallball", "--n", str(cli._DRAW_BATCH), "--m", "2", "--eps", "0.1",
+            "--trials", "10", "--seed", "1"]
+    code, out, err = run(capsys, argv + bad)  # a repeated flag's last value wins
+    assert code == 1 and out == ""
+    assert err == f"intmat: {message}\n"
 
 
 def test_estimate_n_over_the_draw_cap_exit_1(capsys, monkeypatch):

@@ -487,10 +487,9 @@ def test_det_residues_lane_boundaries_and_int16_extremes():
 
 
 @pytest.mark.parametrize("n", range(1, 11))
-def test_batch_layouts_agree(n, monkeypatch):
+def test_batch_layouts_agree(n):
     # a C-ordered (B, n, n) batch and the same batch as a .transpose(2, 0, 1)
-    # view of (n, n, B) storage, the Monte Carlo layout, in lanes of 16
-    monkeypatch.setattr(linalg, "_LANE", 16)
+    # view of (n, n, B) storage, the Monte Carlo layout
     rng = np.random.default_rng(500 + n)
     narrow = rng.integers(-32768, 32768, size=(50, n, n)).astype(np.int16)
     narrow[::3, 0, 0] = -32768
@@ -503,6 +502,14 @@ def test_batch_layouts_agree(n, monkeypatch):
         for f in (det_residues, det_batch, nonsingular_mod_p):
             assert np.array_equal(f(view), f(mats)), f
         assert not nonsingular_mod_p(view)[:5].any()
+
+
+@pytest.mark.parametrize("n", [1, 3, 9])
+def test_empty_batches_give_empty_arrays(n):
+    empty = np.zeros((0, n, n), dtype=np.int16)
+    for f, dtype in ((det_residues, np.uint16), (det_batch, np.int64), (nonsingular_mod_p, bool)):
+        got = f(empty)
+        assert got.shape == (0,) and got.dtype == dtype, f
 
 
 def test_minor_plan_subsets_match_combinations():

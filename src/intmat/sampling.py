@@ -5,20 +5,27 @@ seed value and 64-bit stream index, and parallel Monte Carlo shards offset
 the 256-bit counter, so every draw is determined by (seed, stream, shard)
 independently of thread scheduling.
 
-Stream version 4 (STREAM_VERSION): uniform {-m, ..., m} entries are numpy's
-bounded integers (Lemire's multiply-shift rejection, exactly uniform) on
-the keyed Philox stream, drawn and returned as int16 when m < _NARROW_M =
-2**11 and as int64 above; custom pmfs map raw 64-bit words through an
-exact cumulative table, read from a 2**16-bucket table indexed by a word's
-top 16 bits and searched only in the buckets that hold a threshold.
+Stream version 5 (STREAM_VERSION) reads 16-bit lanes (`_lanes`): L lanes
+are the first L of ceil(L / 4) raw words, lowest 16 bits first; the lanes
+>= accept are replaced, in order, by the first lanes of ceil(R / 4) further
+words (R rejected), until none is rejected. Uniform {-m, ..., m} with
+m < _NARROW_M = 2**11 is int16: with b = 2m + 1, k = 2 entries per lane if
+b * b <= 2**12 (m <= 31), else 1, and accept = floor(2**16 / b**k) * b**k,
+so every k-tuple takes accept / b**k lanes and under 1 lane in 16 is
+redrawn. Lane w gives the base-b digits of w mod b**k, least significant
+first, minus m; c entries read ceil(c / k) lanes. Wider uniform laws are
+numpy's bounded int64 integers. A custom pmf reads its 2**64 grid through
+an exact cumulative table: one lane (accept = 2**16) is the grid value's top
+16 bits; only in a bucket holding a threshold does the entry take one more
+raw word, in order after all lanes, whose low 48 bits complete the value.
 A Monte Carlo shard (`singularity.map_shards`) of max(1, 2**19 // entries
 per trial) trials is one `sample_array` call at its own counter offset; a
 matrix shard is stored lanes-last (entry (i, j) of trial t is draw
 (i * n + j) * size + t), a small-ball shard row-major. Shard sizes and
 layouts are part of the stream. `cli` caps a trial at _DRAW_BATCH entries.
-tests/test_sampling.py pins the stream with golden hashes; numpy does not
-promise stable Generator streams across versions (NEP 19), so a numpy
-upgrade can fail that test.
+tests/test_sampling.py pins the stream with golden hashes; the int64 draws
+are numpy's Generator, which does not promise stable streams across
+versions (NEP 19), so a numpy upgrade can fail that test.
 """
 
 from __future__ import annotations
@@ -31,13 +38,13 @@ import numpy as np
 
 from .errors import DomainError
 
-STREAM_VERSION = 4
+STREAM_VERSION = 5
 _DRAW_BATCH = 1 << 20  # most entries of one trial, so of one shard's draw
-_NARROW_M = 1 << 11  # uniform laws with m below it draw int16 (part of the stream)
+_NARROW_M = 1 << 11  # uniform laws with m below it read lanes (part of the stream)
 _U64 = 1 << 64
 _INT64_LIMIT = 1 << 63
-# A custom-pmf word's top 16 bits pick its bucket in the decode table.
-_BUCKETS = 1 << 16
+_LANE = 1 << 16  # values of a 16-bit lane; a custom-pmf bucket is one lane
+_LOW48 = np.uint64((1 << 48) - 1)
 
 
 @dataclass(frozen=True)
@@ -133,26 +140,57 @@ class EntryDistribution:
     def sample_array(self, gen: np.random.Generator, count: int) -> np.ndarray:
         """`count` i.i.d. draws as one array: int16 for the uniform law with
         m < _NARROW_M, int64 otherwise (wider uniform laws, custom pmfs)."""
-        if self.kind == "uniform_symmetric":
-            dtype = np.int16 if self.m < _NARROW_M else np.int64
-            return gen.integers(-self.m, self.m, size=count, dtype=dtype, endpoint=True)
-        return self._decode(raw_u64(gen, count))
+        if self.kind == "custom":
+            return self._decode(_lanes(gen, count, _LANE), lambda odd: raw_u64(gen, odd.size))
+        if self.m >= _NARROW_M:
+            return gen.integers(-self.m, self.m, size=count, dtype=np.int64, endpoint=True)
+        k, accept, table = _uniform_table(self.m)
+        return np.take(table, _lanes(gen, -(-count // k), accept)).view(np.int16)[:count]
 
-    def _decode(self, words: np.ndarray) -> np.ndarray:
-        """Support values of raw 64-bit words: value i for the words from
-        threshold i-1 up to threshold i, as `np.searchsorted(thresholds,
-        words, side="right")` picks it. A word whose bucket holds no
-        threshold reads its value from the bucket table; the few others
-        take the search."""
+    def _decode(self, buckets: np.ndarray, low) -> np.ndarray:
+        """Support values of the grid words with top 16 bits `buckets`, as
+        `np.searchsorted(thresholds, words, side="right")` picks them. A
+        bucket holding no threshold gives its value from the bucket table;
+        low(odd) gives the words (low 48 bits read) at the other positions."""
         thresholds, support, values, mixed = _decode_table(self)
-        # each word's top 16 bits, straight into uint16 (int64 indices are slower)
-        buckets = np.empty(words.size, dtype=np.uint16)
-        np.right_shift(words, np.uint64(48), out=buckets, casting="unsafe")
         out = values[buckets]
         if mixed is not None:
-            odd = np.flatnonzero(mixed[buckets])
-            out[odd] = support[np.searchsorted(thresholds, words[odd], side="right")]
+            odd = np.flatnonzero(np.take(mixed, buckets))
+            words = (buckets[odd].astype(np.uint64) << np.uint64(48)) | (low(odd) & _LOW48)
+            out[odd] = support[np.searchsorted(thresholds, words, side="right")]
         return out
+
+
+def _lanes(gen: np.random.Generator, count: int, accept: int) -> np.ndarray:
+    """`count` 16-bit lanes below `accept`, in stream v5's order."""
+    def read(size):  # the first `size` lanes of ceil(size / 4) fresh words
+        return raw_u64(gen, -(-size // 4)).astype("<u8", copy=False).view("<u2")[:size]
+
+    lanes = read(count)
+    bad = np.flatnonzero(lanes >= accept)
+    while bad.size:
+        lanes[bad] = read(bad.size)
+        bad = bad[lanes[bad] >= accept]
+    return lanes
+
+
+def _lane_law(m: int) -> tuple[int, int]:
+    """(k, accept): entries per lane, and the largest multiple of (2m+1)**k
+    up to 2**16."""
+    k = 2 if (2 * m + 1) ** 2 <= 1 << 12 else 1
+    return k, _LANE // (2 * m + 1) ** k * (2 * m + 1) ** k
+
+
+@lru_cache(maxsize=16)
+def _uniform_table(m: int):
+    """(k, accept, table): table[w] is lane w's k int16 entries (one uint32
+    when k = 2), its base-(2m+1) digits, least significant first, minus m."""
+    k, accept = _lane_law(m)
+    cycle = np.arange(-m, m + 1, dtype=np.int16)  # lanes 0 .. (2m+1)**k - 1
+    if k == 2:  # as (low, high) digit pairs
+        cycle = np.stack([np.tile(cycle, 2 * m + 1), np.repeat(cycle, 2 * m + 1)], axis=1)
+        cycle = cycle.view(np.uint32).reshape(-1)
+    return k, accept, np.tile(cycle, accept // cycle.size)
 
 
 @lru_cache(maxsize=16)
@@ -166,8 +204,8 @@ def _decode_table(dist: EntryDistribution):
     """
     thresholds = dist._thresholds()
     support = np.asarray(dist.support, dtype=np.int64)
-    first = np.arange(_BUCKETS, dtype=np.uint64) << np.uint64(48)
+    first = np.arange(_LANE, dtype=np.uint64) << np.uint64(48)
     lo = np.searchsorted(thresholds, first, side="right")
-    hi = np.searchsorted(thresholds, first | np.uint64((1 << 48) - 1), side="right")
+    hi = np.searchsorted(thresholds, first | _LOW48, side="right")
     mixed = lo != hi
     return thresholds, support, support[lo], mixed if mixed.any() else None

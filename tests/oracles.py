@@ -303,19 +303,88 @@ def uniform_ints(gen, width, count):
     return out
 
 
-def philox_zero_count(key, m, trials, shard_trials):
-    """Zeros among `trials` uniform {-m, ..., m} int16 draws taken straight
-    from numpy's Philox keyed `key`: shard s holds the next `shard_trials`
-    of them (the last one the rest) and starts at counter s * 2**128. For
-    n = 1 these are the singular matrices of Monte Carlo stream v4.
+def philox_bits(key, shard=0):
+    """numpy's Philox bit generator keyed `key` = (seed value, stream) at
+    shard `shard`'s counter offset, shard * 2**128."""
+    import numpy as np
+
+    return np.random.Philox(key=np.array(key, dtype=np.uint64),
+                            counter=np.array([0, 0, shard, 0], dtype=np.uint64))
+
+
+def v5_lanes(bits, count, accept):
+    """`count` 16-bit lanes below `accept` in random stream v5's order, and
+    the number of rounds of words read.
+
+    Word w holds the lanes w mod 2**16, (w >> 16) mod 2**16, ... in that
+    order. A round reads ceil(r / 4) words for the r positions still open,
+    fills them in order and drops the lanes left over; a lane >= accept
+    leaves its position open for the next round.
     """
     import numpy as np
 
+    out = np.zeros(count, dtype=np.int64)
+    todo = np.arange(count)
+    rounds = 0
+    while todo.size:
+        rounds += 1
+        words = bits.random_raw(-(-todo.size // 4))
+        lanes = np.stack([(words >> np.uint64(16 * i)) & np.uint64(0xFFFF) for i in range(4)],
+                         axis=1).reshape(-1)[: todo.size].astype(np.int64)
+        out[todo] = lanes
+        todo = todo[lanes >= accept]
+    return out, rounds
+
+
+def v5_uniform(bits, m, count):
+    """`count` uniform {-m, ..., m} draws of random stream v5 (m < 2**11),
+    and the rounds of lanes read: k = 2 digits per lane when (2m+1)**2 <=
+    2**12, else 1; lanes at or above the largest multiple of (2m+1)**k up to
+    2**16 are redrawn; a lane's base-(2m+1) digits, least significant
+    first, minus m."""
+    import numpy as np
+
+    b = 2 * m + 1
+    k = 2 if b * b <= 1 << 12 else 1
+    lanes, rounds = v5_lanes(bits, -(-count // k), (1 << 16) // b**k * b**k)
+    digits = np.stack([lanes // b**i % b for i in range(k)], axis=1).reshape(-1)
+    return digits[:count] - m, rounds
+
+
+def v5_custom(support, pmf, bits, count):
+    """`count` draws of a custom pmf in random stream v5, and the number of
+    extra words read: the grid value's top 16 bits are one lane; when a
+    cumulative threshold floor(F_i * 2**64) lies inside that lane's bucket,
+    the low 48 bits of the grid value are the low 48 bits of the next extra
+    word, read after every lane. The value is support[#{thresholds <= word}].
+    """
+    import bisect
+
+    bounds, cum = [], Fraction(0)
+    for p in pmf[:-1]:
+        cum += p
+        bounds.append(cum.numerator * 2**64 // cum.denominator)
+
+    def value(word):
+        return support[bisect.bisect_right(bounds, word)]
+
+    low48 = (1 << 48) - 1
+    buckets = [b << 48 for b in v5_lanes(bits, count, 1 << 16)[0].tolist()]
+    mixed = [value(w) != value(w | low48) for w in buckets]
+    extra = iter(bits.random_raw(sum(mixed)).tolist())
+    draws = [value(w | (next(extra) & low48)) if mix else value(w)
+             for w, mix in zip(buckets, mixed)]
+    return draws, sum(mixed)
+
+
+def philox_zero_count(key, m, trials, shard_trials):
+    """Zeros among `trials` uniform {-m, ..., m} draws of random stream v5
+    (`v5_uniform`) on numpy's Philox keyed `key`: shard s holds the next
+    `shard_trials` of them (the last one the rest) and starts at counter
+    s * 2**128. For n = 1 these are the singular matrices of Monte Carlo.
+    """
     zeros = 0
     for s, start in enumerate(range(0, trials, shard_trials)):
-        bits = np.random.Philox(key=np.array(key, dtype=np.uint64),
-                                counter=np.array([0, 0, s, 0], dtype=np.uint64))
-        draws = np.random.Generator(bits).integers(
-            -m, m, size=min(shard_trials, trials - start), dtype=np.int16, endpoint=True)
-        zeros += int(np.count_nonzero(draws == 0))
+        draws, _ = v5_uniform(philox_bits(key, s), m, min(shard_trials, trials - start))
+        zeros += int((draws == 0).sum())
     return zeros

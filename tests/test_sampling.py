@@ -19,7 +19,7 @@ from intmat.sampling import (
 )
 from intmat.singularity import SHARD_ENTRIES, mc_singularity
 
-from oracles import uniform_ints
+from oracles import philox_bits, uniform_ints, v5_custom, v5_uniform
 
 
 def test_same_seed_same_matrix():
@@ -119,6 +119,47 @@ def test_narrow_draws_are_int16_below_the_stream_constant():
     ).dtype == np.int64
 
 
+LANE_LAWS = [0, 1, 2, 16, 31, 32, 64, 1000, 2047]
+
+
+@pytest.mark.parametrize("m", LANE_LAWS)
+def test_uniform_lanes_match_the_v5_oracle(m):
+    dist = EntryDistribution.uniform_symmetric(m)
+    for count in (1, 3, 4097, 20_001):
+        got = dist.sample_array(generator(Seed(m, 5), shard=3), count)
+        want, _ = v5_uniform(philox_bits((m, 5), 3), m, count)
+        assert got.dtype == np.int16 and got.tolist() == want.tolist()
+
+
+def test_lane_redraws_run_until_none_is_rejected():
+    # m = 1000: 1,504 of 2**16 lanes are redrawn, so 30,001 lanes take
+    # about 700 redraws, then about 16, then (nearly always) none
+    got = EntryDistribution.uniform_symmetric(1000).sample_array(generator(Seed(36)), 30_001)
+    want, rounds = v5_uniform(philox_bits((36, 0)), 1000, 30_001)
+    assert rounds >= 3
+    assert got.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("m", LANE_LAWS)
+def test_lane_tables_give_each_tuple_equally_often(m):
+    k, accept, table = sampling._uniform_table(m)
+    q = (2 * m + 1) ** k
+    digits = table.view(np.int16).reshape(accept, k).astype(np.int64) + m
+    assert digits.min() >= 0 and digits.max() <= 2 * m
+    counts = np.bincount(digits @ (2 * m + 1) ** np.arange(k), minlength=q)
+    assert counts.size == q and (counts * q == accept).all()
+
+
+def test_lanes_reject_fewer_than_one_in_sixteen():
+    # arithmetic only: no table is built
+    for m in range(sampling._NARROW_M):
+        k, accept = sampling._lane_law(m)
+        q = (2 * m + 1) ** k
+        assert k == (2 if m <= 31 else 1)
+        assert accept % q == 0 and 0 <= (1 << 16) - accept < q
+        assert 16 * ((1 << 16) - accept) < 1 << 16
+
+
 def test_raw_u64_gives_the_full_range_words():
     # twin generators, raw words interleaved with bounded draws of both widths
     a, b = generator(Seed(5, 3), shard=2), generator(Seed(5, 3), shard=2)
@@ -210,9 +251,28 @@ def test_custom_decode_table_matches_the_cumulative_search(dist):
         words |= {t - 1, t, t + 1}
     words = sorted(w for w in words if 0 <= w < 2**64)
     words += raw_u64(generator(Seed(34)), 20_000).tolist()
-    got = dist._decode(np.array(words, dtype=np.uint64))
+    # the decoder reads buckets (top 16 bits) and, in mixed buckets, low words
+    grid = np.array(words, dtype=np.uint64)
+    buckets = (grid >> np.uint64(48)).astype(np.uint16)
+    got = dist._decode(buckets, lambda odd: grid[odd] & np.uint64(2**48 - 1))
     assert got.dtype == np.int64
     assert got.tolist() == [dist.support[bisect.bisect_right(bounds, w)] for w in words]
+
+
+# thresholds at 1/7, 4/7 and 6/7 of the 2**64 grid lie inside buckets
+SEVENTHS = EntryDistribution.custom(
+    [-3, 0, 1, 5], [Fraction(1, 7), Fraction(3, 7), Fraction(2, 7), Fraction(1, 7)]
+)
+
+
+@pytest.mark.parametrize("dist", [SEVENTHS] + _decode_laws(),
+                         ids=["sevenths", "vempala", "tiny", "zero_tail", "wide"])
+def test_custom_lanes_match_the_v5_oracle(dist):
+    got = dist.sample_array(generator(Seed(37, 1), shard=2), 100_001)
+    want, extra = v5_custom(dist.support, dist.pmf, philox_bits((37, 1), 2), 100_001)
+    assert got.dtype == np.int64 and got.tolist() == want
+    if dist is SEVENTHS:
+        assert extra > 0
 
 
 def test_seed_validation():
@@ -227,24 +287,19 @@ def test_seed_validation():
 # promise to keep stable across versions) changes one of these. A stream
 # change bumps sampling.STREAM_VERSION and replaces the hashes together.
 GOLDEN_DRAWS = {  # first 4096 draws: (distribution, seed, hash)
-    "uniform_m2": (EntryDistribution.uniform_symmetric(2), Seed(101), "d91a3c6070430d50"),
+    "uniform_m2": (EntryDistribution.uniform_symmetric(2), Seed(101), "294c41d065daf76f"),
     "uniform_m2_62": (EntryDistribution.uniform_symmetric(2**62), Seed(102), "d6fc9f5b2753682c"),
-    "custom_pmf": (
-        EntryDistribution.custom([-3, 0, 1, 5], [Fraction(1, 7), Fraction(3, 7),
-                                                 Fraction(2, 7), Fraction(1, 7)]),
-        Seed(103, 2),
-        "416f54a4753cb3eb",
-    ),
+    "custom_pmf": (SEVENTHS, Seed(103, 2), "dc20ef1284642ec9"),
 }
 # 300,000 3 x 3 int16 matrices in six shards, each one draw stored lanes-last
-GOLDEN_SHARD_LAYOUT = "24d1055a4e7d20b7"
-GOLDEN_ESTIMATE = "824befaadad54a38"
+GOLDEN_SHARD_LAYOUT = "eb983791a6cb9170"
+GOLDEN_ESTIMATE = "cc1c3f3ef28e2f3b"
 GOLDEN_CLI = {
-    "smallball": "e0f2047314c3f731",
-    "mds_generate": "b91f9e3e46ff0e7a",
-    "estimate_n12": "5539544ef85118f3",
+    "smallball": "74943f6870739f2d",
+    "mds_generate": "4af0320daa9fb5c0",
+    "estimate_n12": "e31d48803efd66e7",
 }
-GOLDEN_SMALLBALL_SHARDS = "9d849c9c6b74e2b7"
+GOLDEN_SMALLBALL_SHARDS = "ff36b1f3c5cd9f62"
 GOLDEN_ESTIMATE_ARGV = ["estimate", "--n", "3", "--m", "2", "--trials", "70000", "--seed", "7", "--json"]
 GOLDEN_SMALLBALL_SHARDS_ARGV = ["smallball", "--n", "12", "--m", "3", "--eps", "0.2",
                                 "--trials", "70000", "--seed", "9", "--json"]
@@ -258,15 +313,15 @@ GOLDEN_CLI_ARGV = {
                      "--json"],
 }
 # n = 4 on {-2**40, 0, 2**40}: past the expansion's bound, and singular in half the trials
-GOLDEN_WIDE_LAW = "4d54872333ac7919"
+GOLDEN_WIDE_LAW = "195284d2bc6baf8a"
 
 
 def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
 
-def test_golden_hashes_pin_stream_version_4():
-    assert sampling.STREAM_VERSION == 4
+def test_golden_hashes_pin_stream_version_5():
+    assert sampling.STREAM_VERSION == 5
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_DRAWS))

@@ -73,7 +73,6 @@ def _seeded_config(command: str, seed: Seed, fmt: str, output_path: str | None =
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
         raise SystemExit(1)
 
@@ -148,11 +147,22 @@ def _dist_from(args) -> EntryDistribution:
         return EntryDistribution.uniform_symmetric(args.m)
     if not args.dist.startswith("custom:"):
         raise DomainError("--dist expects custom:<json-file>")
-    with open(args.dist.removeprefix("custom:"), "r", encoding="ascii") as fh:
+    path = args.dist.removeprefix("custom:")
+    with open(path, "r", encoding="ascii") as fh:
         data = json.load(fh)
-    return EntryDistribution.custom(
-        data["support"], [Fraction(p) for p in data["pmf"]]
-    )
+    if not (isinstance(data, dict) and all(type(data.get(k)) is list for k in ("support", "pmf"))):
+        raise DomainError(f'{path}: want an object with "support" and "pmf" lists')
+    # type(), not isinstance(): JSON's true and false are bools, which are ints
+    for i, v in enumerate(data["support"]):
+        if type(v) is not int:
+            raise DomainError(f"{path}: support[{i}] must be an integer, got {json.dumps(v)}")
+    for i, v in enumerate(data["pmf"]):
+        if type(v) not in (str, int, float):
+            raise DomainError(f"{path}: pmf[{i}] must be a string or a number, got {json.dumps(v)}")
+    try:
+        return EntryDistribution.custom(data["support"], [Fraction(p) for p in data["pmf"]])
+    except (DomainError, ValueError, OverflowError, ZeroDivisionError) as exc:
+        raise DomainError(f"{path}: {exc}") from None
 
 
 def _cmd_estimate(args, out) -> int:
@@ -200,7 +210,11 @@ def _cmd_fit(args, out) -> int:
     with open(args.input, "r", encoding="ascii") as fh:
         import csv as _csv
 
-        for row in _csv.DictReader(fh):
+        reader = _csv.DictReader(fh, restval="")
+        for column in ("n", "m", "estimate"):
+            if column not in (reader.fieldnames or ()):
+                raise DomainError(f"{args.input}: no {column!r} column")
+        for row in reader:
             points.append((int(row["n"]), int(row["m"]), float(row["estimate"])))
     fit = fit_exponent(points)
     fields = {

@@ -36,7 +36,7 @@ MAX_TRIALS = 1 << 31
 MAX_THREADS = 256
 DEFAULT_ENUM_BUDGET = 10**8
 _ENUM_CHUNK = 1 << 16  # row stacks per chunk of exact_singular_fraction
-_HITS_ENTRIES = 1 << 20  # key-by-last-row product entries per step (one key at least)
+_HITS_ENTRIES = 1 << 20  # entries of c' . r' per step of the last-row count (one key at least)
 
 
 def wilson_interval(hits: int, trials: int, confidence: float = 0.95) -> tuple[float, float]:
@@ -185,14 +185,18 @@ def mc_singularity(
 
 
 def _cube(start: int, stop: int, m: int, length: int) -> np.ndarray:
-    """Points start..stop-1 of {-m, ..., m}**length as a (stop-start, length)
-    uint64 array (negative coordinates modulo 2**64), in row-major odometer
-    order (last coordinate fastest)."""
+    """Points start..stop-1 of {-m, ..., m}**length as a (length, stop-start)
+    uint64 array, one row per coordinate (negative coordinates modulo
+    2**64), in row-major odometer order (last coordinate fastest)."""
     idx = np.arange(start, stop, dtype=np.uint64)
-    digits = np.empty((stop - start, length), dtype=np.uint64)
+    width = np.uint64(2 * m + 1)
+    digits = np.empty((length, stop - start), dtype=np.uint64)
     for e in range(length - 1, -1, -1):
-        idx, digits[:, e] = np.divmod(idx, 2 * m + 1)
-    return digits - m
+        quotient = idx // width
+        np.subtract(idx, quotient * width, out=digits[e])
+        idx = quotient
+    digits -= np.uint64(m)
+    return digits
 
 
 def exact_singular_fraction(n: int, m: int, budget: int = DEFAULT_ENUM_BUDGET) -> Fraction:
@@ -203,18 +207,24 @@ def exact_singular_fraction(n: int, m: int, budget: int = DEFAULT_ENUM_BUDGET) -
     are enumerated, in chunks of `_cube`'s uint64 odometer; their minors
     come from `leading_minors`. The alphabet is symmetric and r ranges over
     the whole cube, so the number of r with c . r = 0 depends only on
-    sorted |c|: the stacks are tallied by that key, and each distinct key is
-    multiplied against every last row once. Both steps run in uint64, exact
-    modulo 2**64. The budget counts all (2m+1)**(n*n) matrices; n = 1 and
-    m = 0 are closed forms.
+    sorted |c|, the key each stack is tallied by. When
+    `hadamard_below(n - 1, m, 64 // n)` holds (in the admitted range, all
+    but n = 5, m = 4), a key packs into one uint64 of 64 // n bits per
+    minor, and each chunk is tallied by `np.unique`; otherwise a `Counter`
+    of tuples tallies them. Each distinct key is then counted once: with
+    c_n = max |c_i| > 0, the first n-1 coordinates r' of r fix
+    r_n = -s / c_n for s = c' . r', a coordinate in {-m..m} exactly when
+    c_n divides s and |s| <= m * c_n, so only (2m+1)**(n-1) r' are tried.
+    The key c = 0 counts every r. The budget counts all (2m+1)**(n*n)
+    matrices; n = 1 and m = 0 are closed forms.
 
     Raises BudgetExceededError before the budget check, with `required`
     None, when the row stacks reach 2**64, the odometer's range and too many
     ever to finish, so no budget would do. For m >= 1 that admits only
     n <= 6, with m up to 2**31 - 1, 812, 19, 4 and 1 for n = 2..6. There
     Hadamard's bound on an n x n or (n-1) x (n-1) determinant of entries in
-    +-m is below 2**63, so every minor read as int64 is exact, and c . r is
-    zero iff its residue is.
+    +-m is below 2**63, so every minor read as int64 is exact, and so is s:
+    |s| <= m * sum |c_i|, which is c . r for a last row r.
     """
     if n < 1 or m < 0:
         raise DomainError("need n >= 1 and m >= 0")
@@ -240,21 +250,41 @@ def exact_singular_fraction(n: int, m: int, budget: int = DEFAULT_ENUM_BUDGET) -
     if n == 1 or m == 0:
         return Fraction(1, width) if n == 1 else Fraction(1)
     stacks = width**length
+    bits = 64 // n
+    packed = hadamard_below(n - 1, m, bits)  # each sorted |minor| key fits one uint64
     tally: Counter[tuple] = Counter()
+    chunks = []  # (words, counts) of each chunk's packed keys
     for start in range(0, stacks, _ENUM_CHUNK):
-        rows = _cube(start, min(start + _ENUM_CHUNK, stacks), m, length)
-        a = np.ascontiguousarray(rows.reshape(-1, n - 1, n).transpose(1, 2, 0))
-        minors = np.stack(leading_minors(a, n - 1), axis=1).view(np.int64)
-        keys = np.sort(np.abs(minors), axis=1)
-        tally.update(map(tuple, keys.tolist()))
-    last = _cube(0, width**n, m, n).T
-    keys = np.array(list(tally), dtype=np.uint64)
-    reps = list(tally.values())
-    step = max(1, _HITS_ENTRIES // width**n)
+        a = _cube(start, min(start + _ENUM_CHUNK, stacks), m, length).reshape(n - 1, n, -1)
+        c = [np.abs(x.view(np.int64)) for x in leading_minors(a, n - 1)]
+        for r in range(n):  # odd-even transposition sort: c becomes sorted |c|
+            for i in range(r % 2, n - 1, 2):
+                c[i], c[i + 1] = np.minimum(c[i], c[i + 1]), np.maximum(c[i], c[i + 1])
+        if packed:  # the bit fields are disjoint, so their sum packs them
+            packs = sum(x.view(np.uint64) << bits * i for i, x in enumerate(c))
+            chunks.append(np.unique(packs, return_counts=True))
+        else:
+            tally.update(zip(*(x.tolist() for x in c)))
+    if packed:
+        words, counts = map(np.concatenate, zip(*chunks))
+        words, inverse = np.unique(words, return_inverse=True)
+        reps = np.zeros(words.size, dtype=np.int64)
+        np.add.at(reps, inverse, counts)  # exact integer sums of the chunk tallies
+        shifts = np.arange(n, dtype=np.uint64) * np.uint64(bits)
+        keys = (words[:, None] >> shifts & np.uint64((1 << bits) - 1)).view(np.int64)
+    else:
+        keys, reps = np.array(list(tally), dtype=np.int64), np.array(list(tally.values()))
+    # c . r = 0 fixes r_n = -s / c_n for s = c' . r' when c_n = max |c_i| > 0;
+    # the r' in {-m..m}**(n-1) with c_n | s and |s| <= m * c_n each admit one
+    rest = _cube(0, width ** (n - 1), m, n - 1).view(np.int64)
+    step = max(1, _HITS_ENTRIES // rest.shape[1])
     singular = 0
-    for i in range(0, len(reps), step):
-        hits = np.count_nonzero(keys[i : i + step] @ last == 0, axis=1)
-        singular += sum(map(mul, reps[i : i + step], hits.tolist()))
+    for i in range(0, len(keys), step):
+        top = keys[i : i + step, -1:]
+        s = keys[i : i + step, :-1] @ rest
+        hits = np.count_nonzero((s % np.maximum(top, 1) == 0) & (np.abs(s) <= m * top), axis=1)
+        hits[top[:, 0] == 0] *= width  # c = 0: every last row counts
+        singular += sum(map(mul, reps[i : i + step].tolist(), hits.tolist()))
     return Fraction(singular, total)
 
 

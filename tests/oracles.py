@@ -6,6 +6,7 @@ over every minor, and the sparse residual minimizes over every support.
 Former library code paths replaced by faster ones stay here as references.
 """
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 import math
@@ -107,6 +108,56 @@ def enumerate_singular_fraction(n, m):
             idx, digits[:, e] = np.divmod(idx, width)
         singular += _count_singular(digits.reshape(-1, n, n) - m)
     return Fraction(singular, total)
+
+
+def span_count_singular_fraction(n, m):
+    """The library's former exact_singular_fraction for n >= 2 and m >= 1,
+    unreduced: the row stacks (the first n-1 rows) tallied in a Counter by
+    sorted |c|, c their signed maximal minors, and each distinct key
+    multiplied against every one of the (2m+1)**n last rows in uint64."""
+    import numpy as np
+
+    from intmat.linalg import leading_minors
+    from intmat.singularity import _cube
+
+    width, length = 2 * m + 1, n * (n - 1)
+    stacks = width**length
+    tally = Counter()
+    for start in range(0, stacks, 1 << 16):
+        a = _cube(start, min(start + (1 << 16), stacks), m, length).reshape(n - 1, n, -1)
+        minors = np.stack(leading_minors(a, n - 1), axis=1).view(np.int64)
+        tally.update(map(tuple, np.sort(np.abs(minors), axis=1).tolist()))
+    last = _cube(0, width**n, m, n)
+    keys = np.array(list(tally), dtype=np.uint64)
+    hits = np.count_nonzero(keys @ last == 0, axis=1)
+    singular = sum(reps * int(h) for reps, h in zip(tally.values(), hits))
+    return Fraction(singular, width ** (n * n))
+
+
+def totient_singular_fraction(m):
+    """Pr[M singular] for 2 x 2 matrices over {-m..m}. ad = bc exactly when
+    (a, c, d, b) = (xu, xv, yu, yv) with gcd(u, v) = 1, so the singular
+    count is (4m+1)**2 + 8 * sum_{k=1..m} (2 phi(k) - [k = 1]) * (m // k)**2,
+    with Euler's phi from a sieve."""
+    phi = list(range(m + 1))
+    for p in range(2, m + 1):
+        if phi[p] == p:  # p is prime
+            for k in range(p, m + 1, p):
+                phi[k] -= phi[k] // p
+    terms = sum((2 * phi[k] - (k == 1)) * (m // k) ** 2 for k in range(1, m + 1))
+    return Fraction((4 * m + 1) ** 2 + 8 * terms, (2 * m + 1) ** 4)
+
+
+def divisor_singular_fraction(m):
+    """Pr[M singular] for 2 x 2 matrices over {-m..m} from N(v), the number
+    of (a, d) in [1, m]**2 with ad = v: either ad = bc = 0, in (4m+1)**2
+    ways, or ad = bc = +-v for some v >= 1, in 8 * N(v)**2 ways (the sign of
+    the product, and of a and of b within it)."""
+    import numpy as np
+
+    a = np.arange(1, m + 1, dtype=np.int64)
+    counts = np.bincount(np.outer(a, a).ravel())
+    return Fraction((4 * m + 1) ** 2 + 8 * int(counts @ counts), (2 * m + 1) ** 4)
 
 
 def matvec(m, v):

@@ -67,15 +67,22 @@ def test_exact_zero_alphabet_closed_form(capsys):
 
 
 def test_unknown_flag_usage_exit_1(capsys):
+    # a usage error is one line; -h prints the usage
     code, _, err = run(capsys, ["exact", "--n", "1", "--m", "1", "--bogus"])
     assert code == 1
-    assert "usage" in err
+    assert err == "intmat: error: unrecognized arguments: --bogus\n"
+    code, _, err = run(capsys, ["exact", "--n", "x", "--m", "1"])
+    assert code == 1
+    assert err == "intmat exact: error: argument --n: invalid int value: 'x'\n"
+    code, out, _ = run(capsys, ["exact", "-h"])
+    assert code == 0 and out.startswith("usage: intmat exact")
 
 
 def test_unknown_command_exit_1(capsys):
     code, _, err = run(capsys, ["frobnicate"])
     assert code == 1
-    assert "usage" in err
+    assert err.startswith("intmat: error: argument command: invalid choice")
+    assert err.count("\n") == 1
 
 
 def test_estimate_json_round_trip_and_thread_invariance(capsys):
@@ -147,6 +154,53 @@ def test_estimate_custom_distribution(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["m"] is None
     assert abs(payload["estimate"] - 0.5) < 0.02  # Pr[entry = 0] = 1/2
+
+
+@pytest.mark.parametrize("law, named", [
+    ("[1, 2]", '"support" and "pmf" lists'),
+    ('{"support": 5, "pmf": [1]}', '"support" and "pmf" lists'),
+    ('{"support": [0, 1]}', '"support" and "pmf" lists'),
+    ('{"support": [0, 1], "pmf": [null, 1]}', "pmf[0] must be a string or a number, got null"),
+    ('{"support": [0, 1.5], "pmf": ["1/2", "1/2"]}', "support[1] must be an integer, got 1.5"),
+    ('{"support": [false, true], "pmf": ["1/2", "1/2"]}', "support[0] must be an integer, got false"),
+    ('{"support": ["0", 1], "pmf": ["1/2", "1/2"]}', 'support[0] must be an integer, got "0"'),
+    ('{"support": [0, 1], "pmf": ["1/2", "1/0"]}', "Fraction(1, 0)"),
+    ('{"support": [0, 1], "pmf": ["1/2", "half"]}', "Invalid literal for Fraction"),
+    ('{"support": [0, 1], "pmf": ["1/2", Infinity]}', "Infinity"),
+    ('{"support": [0, 1], "pmf": ["1/2"]}', "length mismatch"),
+    ('{"support": [0, 1], "pmf": ["1/2", "1/3"]}', "sum to exactly 1"),
+])
+def test_malformed_law_file_exit_1_in_one_line(tmp_path, capsys, law, named):
+    spec = tmp_path / "law.json"
+    spec.write_text(law)
+    argv = ["estimate", "--n", "3", "--dist", f"custom:{spec}", "--trials", "10", "--seed", "1"]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"intmat: {spec}: ") and named in err and err.count("\n") == 1
+
+
+def test_law_file_pmf_numbers_read_as_their_fractions(tmp_path, capsys):
+    outs = []
+    for pmf in ('["1/4", "1/2", "1/4"]', "[0.25, 0.5, 0.25]"):
+        spec = tmp_path / "law.json"
+        spec.write_text(f'{{"support": [-1, 0, 1], "pmf": {pmf}}}')
+        argv = ["estimate", "--n", "3", "--dist", f"custom:{spec}", "--trials", "5000",
+                "--seed", "2", "--json"]
+        outs.append(run(capsys, argv))
+    assert outs[0] == outs[1] and outs[0][0] == 0
+
+
+@pytest.mark.parametrize("text, named", [
+    ("n,m,hits\n2,2,0\n", "no 'estimate' column"),
+    ("", "no 'n' column"),
+    ("n,m,estimate\n2,2\n", "could not convert string to float"),
+])
+def test_fit_malformed_csv_exit_1_in_one_line(tmp_path, capsys, text, named):
+    path = tmp_path / "points.csv"
+    path.write_text(text)
+    code, out, err = run(capsys, ["fit", "--input", str(path)])
+    assert (code, out) == (1, "")
+    assert named in err and err.count("\n") == 1
 
 
 def test_fit_pipeline(tmp_path, capsys):

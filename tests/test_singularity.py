@@ -35,9 +35,12 @@ from intmat.singularity import (
 
 from oracles import (
     cofactor_det,
+    divisor_singular_fraction,
     enumerate_singular_fraction,
     philox_zero_count,
+    span_count_singular_fraction,
     sylvester_hadamard,
+    totient_singular_fraction,
 )
 
 
@@ -77,6 +80,29 @@ def test_exact_fraction_pinned_values():
     # matrices), which is too slow to run here
     assert exact_singular_fraction(4, 1) == Fraction(1677689, 4782969)
     assert exact_singular_fraction(3, 3) == Fraction(2840071, 40353607)
+    # equal to span_count_singular_fraction, and to the former library code
+    assert exact_singular_fraction(3, 5, budget=11**9) == Fraction(54304331, 2357947691)
+
+
+@pytest.mark.parametrize("n, m", [(3, 3), (3, 4), (4, 1)])
+def test_exact_fraction_matches_the_unreduced_span_count(n, m):
+    budget = (2 * m + 1) ** (n * n)
+    assert exact_singular_fraction(n, m, budget=budget) == span_count_singular_fraction(n, m)
+
+
+def test_exact_fraction_n2_matches_the_totient_sum():
+    for m in range(1, 41):
+        assert exact_singular_fraction(2, m) == totient_singular_fraction(m)
+    frac = exact_singular_fraction(2, 300, budget=601**4)
+    assert frac == totient_singular_fraction(300) == divisor_singular_fraction(300)
+    assert frac == Fraction(6110945, 130466162401)
+
+
+@pytest.mark.parametrize("n, m", [(2, 2), (3, 1), (3, 2)])
+def test_exact_fraction_counter_fallback(monkeypatch, n, m):
+    # keys that do not pack into one uint64 are tallied as tuples
+    monkeypatch.setattr(intmat.singularity, "hadamard_below", lambda *args: False)
+    assert exact_singular_fraction(n, m) == span_count_singular_fraction(n, m)
 
 
 @pytest.mark.parametrize("n, m", [(9, 1), (8, 83), (2, 2**31), (7, 1), (4, 20)])
@@ -102,7 +128,17 @@ def _enumerated(*args):
 
 # the largest m whose (2m+1)**(n*(n-1)) row stacks stay below 2**64, the
 # range of _cube's uint64 odometer; from n = 7 on only m = 0 is admitted
-@pytest.mark.parametrize("n, edge", [(2, 2**31 - 1), (3, 812), (4, 19), (5, 4), (6, 1)])
+ROW_STACK_EDGES = [(2, 2**31 - 1), (3, 812), (4, 19), (5, 4), (6, 1)]
+
+
+def test_keys_pack_in_the_admitted_range_but_at_5_4():
+    # the bound grows with m, so a packing edge packs every smaller m
+    unpacked = [(n, m) for n, edge in ROW_STACK_EDGES for m in (edge - 1, edge)
+                if not hadamard_below(n - 1, m, 64 // n)]
+    assert unpacked == [(5, 4)]
+
+
+@pytest.mark.parametrize("n, edge", ROW_STACK_EDGES)
 def test_exact_fraction_row_stack_edge(monkeypatch, n, edge):
     monkeypatch.setattr(intmat.singularity, "_cube", _enumerated)
     assert (2 * edge + 1) ** (n * (n - 1)) < 2**64 <= (2 * edge + 3) ** (n * (n - 1))

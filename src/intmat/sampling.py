@@ -167,8 +167,6 @@ def _lanes(gen: np.random.Generator, count: int, accept: int) -> np.ndarray:
         return raw_u64(gen, -(-size // 4)).astype("<u8", copy=False).view("<u2")[:size]
 
     lanes = read(count)
-    if accept == _LANE:  # every lane is accepted
-        return lanes
     bad = np.flatnonzero(lanes >= accept)
     while bad.size:
         lanes[bad] = read(bad.size)

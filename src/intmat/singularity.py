@@ -4,12 +4,12 @@ analytic bounds, and the exponent fit for the m**(-c*n) scaling law."""
 from __future__ import annotations
 
 import time
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import count
+from math import isqrt
 from operator import mul
 from statistics import NormalDist
 from threading import Event
@@ -37,6 +37,7 @@ MAX_THREADS = 256
 DEFAULT_ENUM_BUDGET = 10**8
 _ENUM_CHUNK = 1 << 16  # row stacks per chunk of exact_singular_fraction
 _HITS_ENTRIES = 1 << 20  # entries of c' . r' per step of the last-row count (one key at least)
+_TALLY_WORDS = 1 << 18  # chunk-tally words buffered before a fold (or the running tally's, if more)
 
 
 def wilson_interval(hits: int, trials: int, confidence: float = 0.95) -> tuple[float, float]:
@@ -207,11 +208,13 @@ def exact_singular_fraction(n: int, m: int, budget: int = DEFAULT_ENUM_BUDGET) -
     are enumerated, in chunks of `_cube`'s uint64 odometer; their minors
     come from `leading_minors`. The alphabet is symmetric and r ranges over
     the whole cube, so the number of r with c . r = 0 depends only on
-    sorted |c|, the key each stack is tallied by. When
-    `hadamard_below(n - 1, m, 64 // n)` holds (in the admitted range, all
-    but n = 5, m = 4), a key packs into one uint64 of 64 // n bits per
-    minor, and each chunk is tallied by `np.unique`; otherwise a `Counter`
-    of tuples tallies them. Each distinct key is then counted once: with
+    sorted |c|, the key each stack is tallied by. Hadamard's bound puts
+    every |minor| below B = isqrt((m*m*(n-1))**(n-1)) + 1, so a key packs
+    into one uint64 as sum c_i * B**i (B**n < 2**64 in the whole admitted
+    range). Each chunk is tallied by `np.unique`, and the chunk tallies fold
+    into a running one with exact integer sums once their words outnumber
+    both _TALLY_WORDS and the running tally's, so memory grows with the
+    distinct keys, not with the stacks. Each distinct key is then counted once: with
     c_n = max |c_i| > 0, the first n-1 coordinates r' of r fix
     r_n = -s / c_n for s = c' . r', a coordinate in {-m..m} exactly when
     c_n divides s and |s| <= m * c_n, so only (2m+1)**(n-1) r' are tried.
@@ -250,30 +253,25 @@ def exact_singular_fraction(n: int, m: int, budget: int = DEFAULT_ENUM_BUDGET) -
     if n == 1 or m == 0:
         return Fraction(1, width) if n == 1 else Fraction(1)
     stacks = width**length
-    bits = 64 // n
-    packed = hadamard_below(n - 1, m, bits)  # each sorted |minor| key fits one uint64
-    tally: Counter[tuple] = Counter()
-    chunks = []  # (words, counts) of each chunk's packed keys
+    base = isqrt((m * m * (n - 1)) ** (n - 1)) + 1  # above every |minor|
+    powers = np.uint64(base) ** np.arange(n, dtype=np.uint64)
+    tally, pending, size = (np.empty(0, np.uint64), np.empty(0, np.int64)), [], 0
     for start in range(0, stacks, _ENUM_CHUNK):
         a = _cube(start, min(start + _ENUM_CHUNK, stacks), m, length).reshape(n - 1, n, -1)
         c = [np.abs(x.view(np.int64)) for x in leading_minors(a, n - 1)]
         for r in range(n):  # odd-even transposition sort: c becomes sorted |c|
             for i in range(r % 2, n - 1, 2):
                 c[i], c[i + 1] = np.minimum(c[i], c[i + 1]), np.maximum(c[i], c[i + 1])
-        if packed:  # the bit fields are disjoint, so their sum packs them
-            packs = sum(x.view(np.uint64) << bits * i for i, x in enumerate(c))
-            chunks.append(np.unique(packs, return_counts=True))
-        else:
-            tally.update(zip(*(x.tolist() for x in c)))
-    if packed:
-        words, counts = map(np.concatenate, zip(*chunks))
-        words, inverse = np.unique(words, return_inverse=True)
-        reps = np.zeros(words.size, dtype=np.int64)
-        np.add.at(reps, inverse, counts)  # exact integer sums of the chunk tallies
-        shifts = np.arange(n, dtype=np.uint64) * np.uint64(bits)
-        keys = (words[:, None] >> shifts & np.uint64((1 << bits) - 1)).view(np.int64)
-    else:
-        keys, reps = np.array(list(tally), dtype=np.int64), np.array(list(tally.values()))
+        words = sum(x.view(np.uint64) * p for x, p in zip(c, powers))
+        pending.append(np.unique(words, return_counts=True))
+        size += pending[-1][0].size
+        if size > max(_TALLY_WORDS, tally[0].size) or start + _ENUM_CHUNK >= stacks:
+            words, counts = map(np.concatenate, zip(tally, *pending))
+            words, inverse = np.unique(words, return_inverse=True)
+            tally, pending, size = (words, np.zeros(words.size, np.int64)), [], 0
+            np.add.at(tally[1], inverse, counts)  # exact integer sums of the chunk tallies
+    words, reps = tally
+    keys = (words[:, None] // powers % np.uint64(base)).view(np.int64)
     # c . r = 0 fixes r_n = -s / c_n for s = c' . r' when c_n = max |c_i| > 0;
     # the r' in {-m..m}**(n-1) with c_n | s and |s| <= m * c_n each admit one
     rest = _cube(0, width ** (n - 1), m, n - 1).view(np.int64)

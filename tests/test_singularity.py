@@ -2,6 +2,7 @@ import sys
 import time
 from fractions import Fraction
 from itertools import product
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -98,11 +99,13 @@ def test_exact_fraction_n2_matches_the_totient_sum():
     assert frac == Fraction(6110945, 130466162401)
 
 
-@pytest.mark.parametrize("n, m", [(2, 2), (3, 1), (3, 2)])
-def test_exact_fraction_counter_fallback(monkeypatch, n, m):
-    # keys that do not pack into one uint64 are tallied as tuples
-    monkeypatch.setattr(intmat.singularity, "hadamard_below", lambda *args: False)
-    assert exact_singular_fraction(n, m) == span_count_singular_fraction(n, m)
+@pytest.mark.parametrize("n, m", [(3, 3), (4, 1)])
+def test_exact_fraction_folds_the_tally_before_the_last_chunk(monkeypatch, n, m):
+    # a fold runs whenever the buffered words outnumber the running tally's:
+    # after both chunks at (3, 3), and 5 times in the 9 chunks of (4, 1)
+    monkeypatch.setattr(intmat.singularity, "_TALLY_WORDS", 0)
+    budget = (2 * m + 1) ** (n * n)
+    assert exact_singular_fraction(n, m, budget=budget) == span_count_singular_fraction(n, m)
 
 
 @pytest.mark.parametrize("n, m", [(9, 1), (8, 83), (2, 2**31), (7, 1), (4, 20)])
@@ -131,11 +134,12 @@ def _enumerated(*args):
 ROW_STACK_EDGES = [(2, 2**31 - 1), (3, 812), (4, 19), (5, 4), (6, 1)]
 
 
-def test_keys_pack_in_the_admitted_range_but_at_5_4():
-    # the bound grows with m, so a packing edge packs every smaller m
-    unpacked = [(n, m) for n, edge in ROW_STACK_EDGES for m in (edge - 1, edge)
-                if not hadamard_below(n - 1, m, 64 // n)]
-    assert unpacked == [(5, 4)]
+@pytest.mark.parametrize("n, edge", ROW_STACK_EDGES)
+def test_keys_pack_into_one_uint64_up_to_the_edge(n, edge):
+    # the base grows with m, so the edge bounds every admitted m
+    hadamard_squared = (edge * edge * (n - 1)) ** (n - 1)  # bounds |minor|**2
+    base = isqrt(hadamard_squared) + 1
+    assert base**2 > hadamard_squared and base**n < 2**64
 
 
 @pytest.mark.parametrize("n, edge", ROW_STACK_EDGES)
